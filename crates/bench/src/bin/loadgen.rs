@@ -313,6 +313,7 @@ struct Pass {
 /// the verifier lane's per-request cost is whatever the verdict cache
 /// leaves. The server's stats still cover the warm-up, so the cold
 /// certificate cost stays visible in the verify latency percentiles.
+#[allow(clippy::too_many_arguments)]
 fn run_pass(
     addr: &str,
     protocol: Protocol,

@@ -1,30 +1,24 @@
-//! The determinism contract of the speculative batch engine: for a fixed
-//! `(seed, batch)` the search result is a pure function of those two knobs
-//! — `batch = 1` reproduces the plain sequential trajectory bit-for-bit
-//! (same RNG draws, same accepts, same final binding and counters), and
-//! the evaluation thread count never changes anything. The `salsa-serve`
-//! result cache keys on exactly this contract.
+//! The determinism contract of the search: for a fixed seed the annealer,
+//! the polish sweep and the improvement loop are pure functions of their
+//! inputs, and the compiled move plan reproduces the legacy proposers'
+//! trajectory bit-for-bit (same RNG draws, same accepts, same final
+//! binding and counters). The `salsa-serve` result cache keys on exactly
+//! this contract.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use salsa_alloc::{
-    anneal, improve, initial_allocation, polish, register_chart, AllocContext, AnnealConfig,
+    anneal, improve, initial_allocation, polish, AllocContext, AnnealConfig,
     Allocator, Binding, ImproveConfig, ImproveStats, MoveSet,
 };
 use salsa_cdfg::{benchmarks, random_cdfg, Cdfg, RandomCdfgConfig};
 use salsa_datapath::{CostWeights, Datapath};
 use salsa_sched::{asap, fds_schedule, FuLibrary, Schedule};
 
-fn quick(batch: Option<usize>, eval_threads: usize) -> ImproveConfig {
-    ImproveConfig {
-        max_trials: 3,
-        moves_per_trial: Some(400),
-        batch,
-        eval_threads,
-        ..ImproveConfig::default()
-    }
+fn quick() -> ImproveConfig {
+    ImproveConfig { max_trials: 3, moves_per_trial: Some(400), ..ImproveConfig::default() }
 }
 
 fn pool_for(graph: &Cdfg, schedule: &Schedule, library: &FuLibrary, extra: usize) -> Datapath {
@@ -39,7 +33,19 @@ fn search<'a>(
     seed: u64,
     config: &ImproveConfig,
 ) -> (Binding<'a>, ImproveStats) {
+    search_with_plan(ctx, seed, config, true)
+}
+
+/// [`search`] with the compiled move plan switched on or off on the
+/// binding (off drives the legacy proposers, the plan's reference).
+fn search_with_plan<'a>(
+    ctx: &'a AllocContext<'a>,
+    seed: u64,
+    config: &ImproveConfig,
+    plan: bool,
+) -> (Binding<'a>, ImproveStats) {
     let mut binding = initial_allocation(ctx);
+    binding.set_plan_enabled(plan);
     let mut rng = StdRng::seed_from_u64(seed);
     let stats = improve(&mut binding, config, &mut rng);
     (binding, stats)
@@ -48,94 +54,6 @@ fn search<'a>(
 /// The counters that must agree between equivalent runs (timing excluded).
 fn counters(stats: &ImproveStats) -> [usize; 5] {
     [stats.trials, stats.attempted, stats.applied, stats.accepted, stats.uphill_accepted]
-}
-
-#[test]
-fn batch_of_one_reproduces_the_sequential_trajectory() {
-    let library = FuLibrary::standard();
-    for graph in [benchmarks::ewf(), benchmarks::dct()] {
-        let cp = asap(&graph, &library).length;
-        let schedule = fds_schedule(&graph, &library, cp + 2).unwrap();
-        let datapath = pool_for(&graph, &schedule, &library, 1);
-        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-
-        for seed in [3u64, 19] {
-            let (seq, seq_stats) = search(&ctx, seed, &quick(None, 1));
-            let (one, one_stats) = search(&ctx, seed, &quick(Some(1), 1));
-            assert!(
-                one == seq,
-                "{} seed {seed}: batch(1) diverged from the sequential binding",
-                graph.name()
-            );
-            assert_eq!(
-                counters(&one_stats),
-                counters(&seq_stats),
-                "{} seed {seed}: counter mismatch",
-                graph.name()
-            );
-            assert_eq!(one_stats.final_cost, seq_stats.final_cost);
-            // The batched loop reports its own bookkeeping too.
-            assert!(one_stats.proposed > 0);
-            assert_eq!(one_stats.committed, one_stats.accepted);
-            assert_eq!(one_stats.conflict_skipped, 0, "a batch of one cannot conflict");
-            assert_eq!(one_stats.stale_skipped, 0, "a batch of one cannot go stale");
-            assert_eq!(seq_stats.proposed, 0, "the sequential loop draws no batches");
-        }
-    }
-}
-
-#[test]
-fn batched_results_are_invariant_to_eval_threads() {
-    let graph = benchmarks::dct();
-    let library = FuLibrary::standard();
-    let cp = asap(&graph, &library).length;
-    let schedule = fds_schedule(&graph, &library, cp + 2).unwrap();
-    let datapath = pool_for(&graph, &schedule, &library, 1);
-    let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-
-    for batch in [2usize, 8] {
-        let (base, base_stats) = search(&ctx, 42, &quick(Some(batch), 1));
-        for threads in [2usize, 8] {
-            let (other, other_stats) = search(&ctx, 42, &quick(Some(batch), threads));
-            assert!(
-                other == base,
-                "batch {batch}: {threads} eval threads changed the result"
-            );
-            assert_eq!(counters(&other_stats), counters(&base_stats));
-            assert_eq!(other_stats.proposed, base_stats.proposed);
-            assert_eq!(other_stats.conflict_skipped, base_stats.conflict_skipped);
-            assert_eq!(other_stats.stale_skipped, base_stats.stale_skipped);
-            assert_eq!(other_stats.committed, base_stats.committed);
-        }
-    }
-}
-
-#[test]
-fn allocator_batch_of_one_matches_the_plain_allocator() {
-    let graph = benchmarks::ewf();
-    let library = FuLibrary::standard();
-    let cp = asap(&graph, &library).length;
-    let schedule = fds_schedule(&graph, &library, cp + 2).unwrap();
-
-    let run = |batched: bool| {
-        let mut allocator = Allocator::new(&graph, &schedule, &library)
-            .seed(5)
-            .extra_registers(1)
-            .config(quick(None, 1));
-        if batched {
-            allocator = allocator.batch(1);
-        }
-        allocator.run().unwrap()
-    };
-    let plain = run(false);
-    let batched = run(true);
-    assert_eq!(batched.cost, plain.cost, "batch(1) changed the end-to-end cost");
-    assert_eq!(
-        register_chart(&graph, &schedule, &batched),
-        register_chart(&graph, &schedule, &plain),
-        "batch(1) changed the final register layout"
-    );
-    assert_eq!(counters(&batched.stats), counters(&plain.stats));
 }
 
 #[test]
@@ -185,8 +103,8 @@ fn polish_reaches_a_deterministic_fixpoint() {
     // Two identical stochastic starts, polished independently, must land
     // on the same local optimum: the sweep order is fixed, so polish is
     // as deterministic as the binding it starts from.
-    let (mut first, _) = search(&ctx, 3, &quick(None, 1));
-    let (mut twin, _) = search(&ctx, 3, &quick(None, 1));
+    let (mut first, _) = search(&ctx, 3, &quick());
+    let (mut twin, _) = search(&ctx, 3, &quick());
     let before = cost_of(&first);
     let polished = polish(&mut first, &weights, &MoveSet::full());
     let twin_polished = polish(&mut twin, &weights, &MoveSet::full());
@@ -203,8 +121,7 @@ fn polish_reaches_a_deterministic_fixpoint() {
 
 /// The compiled-move-plan contract: plan-on and plan-off runs enumerate
 /// identical candidate lists in identical order, so for any seed the
-/// trajectories — not just the outcomes — are bit-for-bit the same, in
-/// the sequential loop, the batched engine and the portfolio reduction.
+/// trajectories — not just the outcomes — are bit-for-bit the same.
 #[test]
 fn compiled_plan_matches_legacy_proposers_bit_for_bit() {
     let library = FuLibrary::standard();
@@ -215,10 +132,8 @@ fn compiled_plan_matches_legacy_proposers_bit_for_bit() {
         let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
 
         for seed in [7u64, 23] {
-            // Sequential inner loop.
-            let (on, on_stats) = search(&ctx, seed, &quick(None, 1));
-            let (off, off_stats) =
-                search(&ctx, seed, &ImproveConfig { plan: false, ..quick(None, 1) });
+            let (on, on_stats) = search(&ctx, seed, &quick());
+            let (off, off_stats) = search_with_plan(&ctx, seed, &quick(), false);
             assert!(
                 on == off,
                 "{} seed {seed}: the compiled plan diverged from the legacy proposers",
@@ -226,145 +141,47 @@ fn compiled_plan_matches_legacy_proposers_bit_for_bit() {
             );
             assert_eq!(counters(&on_stats), counters(&off_stats));
             assert_eq!(on_stats.final_cost, off_stats.final_cost);
-
-            // Batched engine, workers up.
-            let (bon, bon_stats) = search(&ctx, seed, &quick(Some(8), 2));
-            let (boff, boff_stats) =
-                search(&ctx, seed, &ImproveConfig { plan: false, ..quick(Some(8), 2) });
-            assert!(
-                bon == boff,
-                "{} seed {seed}: plan on/off diverged under batch(8)",
-                graph.name()
-            );
-            assert_eq!(counters(&bon_stats), counters(&boff_stats));
-            assert_eq!(bon_stats.committed, boff_stats.committed);
-            assert_eq!(bon_stats.conflict_skipped, boff_stats.conflict_skipped);
         }
     }
 }
 
-/// Plan on/off equivalence through the full portfolio driver: multiple
-/// restart chains, reduction, polish and lowering included.
+/// Plan on/off equivalence on the allocator's own prepared context,
+/// through the polish sweep: several restart seeds, each searched and
+/// polished with the plan on and off, land on the same binding.
 #[test]
-fn compiled_plan_matches_legacy_through_the_portfolio() {
+fn compiled_plan_matches_legacy_through_polish() {
     let graph = benchmarks::ewf();
     let library = FuLibrary::standard();
     let cp = asap(&graph, &library).length;
     let schedule = fds_schedule(&graph, &library, cp + 2).unwrap();
+    let allocator = Allocator::new(&graph, &schedule, &library).extra_registers(1).config(quick());
+    let (ctx, config) = allocator.prepare().unwrap();
 
-    let run = |plan: bool| {
-        Allocator::new(&graph, &schedule, &library)
-            .seed(5)
-            .extra_registers(1)
-            .restarts(3)
-            .config(quick(None, 1))
-            .plan(plan)
-            .run()
-            .unwrap()
-    };
-    let on = run(true);
-    let off = run(false);
-    assert_eq!(on.cost, off.cost, "plan on/off changed the portfolio outcome");
-    assert_eq!(
-        register_chart(&graph, &schedule, &on),
-        register_chart(&graph, &schedule, &off),
-        "plan on/off changed the final register layout"
-    );
-    assert_eq!(counters(&on.stats), counters(&off.stats));
+    for seed in [5u64, 6, 7] {
+        let (mut on, on_stats) = search_with_plan(&ctx, seed, &config, true);
+        let (mut off, off_stats) = search_with_plan(&ctx, seed, &config, false);
+        assert_eq!(counters(&on_stats), counters(&off_stats), "seed {seed}");
+        let on_cost = polish(&mut on, &config.weights, &config.move_set);
+        let off_cost = polish(&mut off, &config.weights, &config.move_set);
+        assert_eq!(on_cost, off_cost, "seed {seed}: plan on/off changed the polished cost");
+        assert!(on == off, "seed {seed}: plan on/off changed the polished binding");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// `batch(1)` is the sequential loop on arbitrary graphs, not just the
-    /// benchmarks: identical final binding and identical counters.
-    #[test]
-    fn batch_of_one_is_sequential_on_random_graphs(
-        graph_seed in 0u64..500,
-        search_seed in 0u64..100,
-        ops in 8usize..20,
-        states in 0usize..3,
-        slack in 0usize..3,
-    ) {
-        let cfg = RandomCdfgConfig { ops, states, ..RandomCdfgConfig::default() };
-        let graph = random_cdfg(&cfg, graph_seed);
-        let library = FuLibrary::standard();
-        let cp = asap(&graph, &library).length;
-        let schedule = fds_schedule(&graph, &library, cp + slack).unwrap();
-        let datapath = pool_for(&graph, &schedule, &library, 1);
-        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-        let config = ImproveConfig {
-            max_trials: 3,
-            moves_per_trial: Some(250),
-            ..ImproveConfig::default()
-        };
-
-        let (seq, seq_stats) = search(&ctx, search_seed, &config);
-        let (one, one_stats) =
-            search(&ctx, search_seed, &ImproveConfig { batch: Some(1), ..config.clone() });
-        prop_assert!(one == seq, "batch(1) diverged from the sequential trajectory");
-        prop_assert_eq!(counters(&one_stats), counters(&seq_stats));
-        prop_assert_eq!(one_stats.final_cost, seq_stats.final_cost);
-    }
-
-    /// For any `(seed, batch)` the result is invariant to the evaluation
-    /// thread count, on arbitrary graphs.
-    #[test]
-    fn batched_search_is_thread_invariant_on_random_graphs(
-        graph_seed in 0u64..500,
-        search_seed in 0u64..100,
-        batch in 2usize..8,
-        ops in 8usize..20,
-        states in 0usize..3,
-        slack in 0usize..3,
-    ) {
-        let cfg = RandomCdfgConfig { ops, states, ..RandomCdfgConfig::default() };
-        let graph = random_cdfg(&cfg, graph_seed);
-        let library = FuLibrary::standard();
-        let cp = asap(&graph, &library).length;
-        let schedule = fds_schedule(&graph, &library, cp + slack).unwrap();
-        let datapath = pool_for(&graph, &schedule, &library, 1);
-        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
-        let config = ImproveConfig {
-            max_trials: 3,
-            moves_per_trial: Some(250),
-            batch: Some(batch),
-            ..ImproveConfig::default()
-        };
-
-        let (base, base_stats) = search(&ctx, search_seed, &config);
-        for threads in [2usize, 8] {
-            let (other, other_stats) = search(
-                &ctx,
-                search_seed,
-                &ImproveConfig { eval_threads: threads, ..config.clone() },
-            );
-            prop_assert!(
-                other == base,
-                "batch {} with {} eval threads changed the result",
-                batch,
-                threads
-            );
-            prop_assert_eq!(counters(&other_stats), counters(&base_stats));
-            prop_assert_eq!(other_stats.conflict_skipped, base_stats.conflict_skipped);
-            prop_assert_eq!(other_stats.committed, base_stats.committed);
-        }
-    }
-
-    /// Plan on ≡ plan off on arbitrary graphs, sequential and batched:
-    /// same final binding, same counters, for any seed.
+    /// Plan on ≡ plan off on arbitrary graphs: same final binding, same
+    /// counters, for any seed.
     #[test]
     fn compiled_plan_is_exact_on_random_graphs(
         graph_seed in 0u64..500,
         search_seed in 0u64..100,
-        batch_raw in 0usize..8,
         ops in 8usize..20,
         states in 0usize..3,
         slack in 0usize..3,
         extra_regs in 0usize..3,
     ) {
-        // 0 encodes "sequential loop"; 1..8 are batch sizes.
-        let batch = (batch_raw > 0).then_some(batch_raw);
         let cfg = RandomCdfgConfig { ops, states, ..RandomCdfgConfig::default() };
         let graph = random_cdfg(&cfg, graph_seed);
         let library = FuLibrary::standard();
@@ -375,13 +192,11 @@ proptest! {
         let config = ImproveConfig {
             max_trials: 3,
             moves_per_trial: Some(250),
-            batch,
             ..ImproveConfig::default()
         };
 
         let (on, on_stats) = search(&ctx, search_seed, &config);
-        let (off, off_stats) =
-            search(&ctx, search_seed, &ImproveConfig { plan: false, ..config.clone() });
+        let (off, off_stats) = search_with_plan(&ctx, search_seed, &config, false);
         prop_assert!(on == off, "plan on/off trajectories diverged");
         prop_assert_eq!(counters(&on_stats), counters(&off_stats));
         prop_assert_eq!(on_stats.final_cost, off_stats.final_cost);

@@ -1,10 +1,13 @@
 //! The memory-binding subsystem's acceptance contract: bank violations
 //! are rejected by the symbolic verifier, the M move family strictly
 //! improves on frozen bank assignment for both memory benchmarks, and
-//! the determinism contract (batch(1) ≡ sequential, plan-on ≡ plan-off)
-//! holds on memory graphs exactly as it does on scalar ones.
+//! the determinism contract (reproducible runs, plan-on ≡ plan-off) holds
+//! on memory graphs exactly as it does on scalar ones.
 
-use salsa_alloc::{Allocator, BindingParts, ImproveConfig, MoveSet};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use salsa_alloc::{improve, initial_allocation, Allocator, BindingParts, ImproveConfig, MoveSet};
 use salsa_cdfg::{benchmarks, Cdfg};
 use salsa_datapath::VerifyError;
 use salsa_sched::{fds_schedule, FuLibrary};
@@ -13,21 +16,18 @@ fn mem_config() -> ImproveConfig {
     ImproveConfig { max_trials: 4, moves_per_trial: Some(800), ..ImproveConfig::default() }
 }
 
-fn allocate(graph: &Cdfg, mem_moves: bool, batch: Option<usize>, plan: bool) -> (u64, BindingParts) {
+fn allocate(graph: &Cdfg, mem_moves: bool) -> (u64, BindingParts) {
     let library = FuLibrary::standard();
     let cp = salsa_sched::asap(graph, &library).length;
     let schedule = fds_schedule(graph, &library, cp + 1).unwrap();
-    let mut allocator = Allocator::new(graph, &schedule, &library)
+    let result = Allocator::new(graph, &schedule, &library)
         .seed(7)
         .restarts(2)
         .threads(1)
         .config(mem_config())
-        .plan(plan)
-        .mem_moves(mem_moves);
-    if let Some(batch) = batch {
-        allocator = allocator.batch(batch);
-    }
-    let result = allocator.run().unwrap();
+        .mem_moves(mem_moves)
+        .run()
+        .unwrap();
     (result.cost, result.winner)
 }
 
@@ -79,8 +79,8 @@ fn memory_moves_strictly_beat_frozen_bank_assignment() {
     // memory benchmarks — the paper-style "extended model wins" claim,
     // transplanted to memory binding.
     for graph in [benchmarks::fir_array(), benchmarks::matmul()] {
-        let (off, _) = allocate(&graph, false, None, true);
-        let (on, _) = allocate(&graph, true, None, true);
+        let (off, _) = allocate(&graph, false);
+        let (on, _) = allocate(&graph, true);
         assert!(
             on < off,
             "{}: M-on must strictly beat M-off (on={on} off={off})",
@@ -92,21 +92,24 @@ fn memory_moves_strictly_beat_frozen_bank_assignment() {
 #[test]
 fn memory_search_determinism_contract() {
     for graph in [benchmarks::fir_array(), benchmarks::matmul()] {
-        // batch(1) reproduces the sequential inner loop bit-for-bit.
-        let sequential = allocate(&graph, true, None, true);
-        let batched = allocate(&graph, true, Some(1), true);
-        assert_eq!(sequential, batched, "{}: batch(1) != sequential", graph.name());
+        // Two identical runs agree exactly.
+        assert_eq!(allocate(&graph, true), allocate(&graph, true), "{}", graph.name());
 
-        // The compiled move plan is a pure accelerator: plan-on and
-        // plan-off runs land on identical winners.
-        let plan_off = allocate(&graph, true, None, false);
-        assert_eq!(sequential, plan_off, "{}: plan changed the trajectory", graph.name());
-
-        // Speculative batches stay deterministic on memory graphs too:
-        // two identical batch(8) runs agree exactly.
-        let a = allocate(&graph, true, Some(8), true);
-        let b = allocate(&graph, true, Some(8), true);
-        assert_eq!(a, b, "{}: batch(8) must be reproducible", graph.name());
+        // The compiled move plan is a pure accelerator: a chain searched
+        // with the plan on and one driven by the legacy proposers land on
+        // identical bindings.
+        let library = FuLibrary::standard();
+        let cp = salsa_sched::asap(&graph, &library).length;
+        let schedule = fds_schedule(&graph, &library, cp + 1).unwrap();
+        let allocator = Allocator::new(&graph, &schedule, &library).config(mem_config());
+        let (ctx, config) = allocator.prepare().unwrap();
+        let chain = |plan: bool| {
+            let mut binding = initial_allocation(&ctx);
+            binding.set_plan_enabled(plan);
+            improve(&mut binding, &config, &mut StdRng::seed_from_u64(7));
+            binding.to_parts()
+        };
+        assert_eq!(chain(true), chain(false), "{}: plan changed the trajectory", graph.name());
     }
 }
 
@@ -116,8 +119,8 @@ fn scalar_trajectories_are_untouched_by_the_memory_subsystem() {
     // M upgrade is requested: the upgrade is conditional on the graph
     // declaring arrays, and the move set stays the historical 11 kinds.
     let graph = benchmarks::ewf();
-    let with_mem = allocate(&graph, true, None, true);
-    let without = allocate(&graph, false, None, true);
+    let with_mem = allocate(&graph, true);
+    let without = allocate(&graph, false);
     assert_eq!(with_mem, without);
     for (kind, _) in salsa_alloc::MoveKind::all() {
         assert_eq!(MoveSet::full().contains(kind), !kind.is_memory());

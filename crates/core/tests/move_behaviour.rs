@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use salsa_alloc::{initial_allocation, lower, moves, AllocContext, Binding, MoveKind};
-use salsa_cdfg::benchmarks;
+use salsa_cdfg::{benchmarks, OpKind};
 use salsa_datapath::{verify, Datapath};
 use salsa_sched::{fds_schedule, FuLibrary};
 
@@ -81,6 +81,30 @@ fn operand_reverse_toggles_and_is_self_inverse() {
         }
     }
     assert_eq!(swaps(&binding), 0, "reversal is an involution");
+}
+
+#[test]
+fn from_parts_rejects_swapped_operands_on_non_commutative_ops() {
+    // Binding images arrive untrusted (warm seeds, cluster workers): one
+    // that swaps a `sub` must be refused, or the rebuilt binding computes
+    // `b - a` and fails verification. A commutative swap stays legal.
+    let (fx, dp) = Fixture::new(benchmarks::diffeq(), 9, 0);
+    let ctx = AllocContext::new(&fx.graph, &fx.schedule, &fx.library, dp).unwrap();
+    let parts = initial_allocation(&ctx).to_parts();
+    let op_of = |kind: OpKind| fx.graph.ops().find(|o| o.kind() == kind).unwrap().id();
+
+    let mut swapped_sub = parts.clone();
+    swapped_sub.op_swap[op_of(OpKind::Sub).index()] = true;
+    let err = Binding::from_parts(&ctx, &swapped_sub).expect_err("a swapped sub is refused");
+    assert!(err.contains("non-commutative"), "{err}");
+
+    let mut swapped_add = parts;
+    swapped_add.op_swap[op_of(OpKind::Add).index()] = true;
+    let rebuilt = Binding::from_parts(&ctx, &swapped_add).expect("a swapped add is legal");
+    assert!(rebuilt.op_swapped(op_of(OpKind::Add)));
+    let (rtl, claims) = lower(&rebuilt);
+    verify(&fx.graph, &fx.schedule, &fx.library, &ctx.datapath, &rtl, &claims)
+        .expect("a commutative swap still verifies");
 }
 
 #[test]

@@ -85,21 +85,12 @@ pub struct Knobs {
     pub restarts: usize,
     /// Portfolio worker cap; `None` = machine parallelism.
     pub threads: Option<usize>,
-    /// Speculative move-batch size; `None` = sequential inner loop. Part
-    /// of the cache key (results are deterministic in `(seed, batch)` but
-    /// differ across batch sizes); thread counts never change the result.
-    pub batch: Option<usize>,
     /// Best-bound cutoff factor; `None` = the allocator default.
     pub cutoff: Option<f64>,
     /// Use the pipelined functional-unit library.
     pub pipelined: bool,
     /// Restrict to the traditional (pre-SALSA) move set.
     pub traditional: bool,
-    /// Drive the move proposers from the compiled move plan (the
-    /// default). Never changes the result — kept in the cache key anyway
-    /// so an A/B pair of requests is two observable jobs, not one cache
-    /// hit.
-    pub plan: bool,
     /// Enable the M move family on memory graphs (the default). A
     /// scalar design ignores it; on a memory design turning it off
     /// freezes bank assignment at the initial greedy placement — the
@@ -127,11 +118,9 @@ impl Default for Knobs {
             seed: 42,
             restarts: 1,
             threads: None,
-            batch: None,
             cutoff: None,
             pipelined: false,
             traditional: false,
-            plan: true,
             mem_moves: true,
             verify: VerifyMode::Off,
             warm: None,
@@ -394,24 +383,25 @@ pub fn knobs_from_json(obj: &Json) -> Result<Knobs, ServeError> {
             format!("'restarts' must be in 1..={MAX_RESTARTS}"),
         ));
     }
+    // The speculative batch engine is gone. An old client still sending
+    // `batch` is told so instead of silently getting a sequential result.
+    if obj.get("batch").is_some_and(|v| *v != Json::Null) {
+        return Err(ServeError::new(
+            ErrorKind::BadRequest,
+            "'batch' was removed: speculative move batches are no longer supported; \
+             drop the field for the sequential search",
+        ));
+    }
     Ok(Knobs {
         steps,
         extra_regs: field_u64(obj, "extra_regs")?.map(|e| e as usize).unwrap_or(0),
         seed: field_u64(obj, "seed")?.unwrap_or(42),
         restarts,
         threads: field_u64(obj, "threads")?.map(|t| (t as usize).max(1)),
-        batch: field_u64(obj, "batch")?.map(|b| (b as usize).max(1)),
         cutoff: field_f64(obj, "cutoff")?,
         pipelined: field_bool(obj, "pipelined")?,
         traditional: field_bool(obj, "traditional")?,
         // Unlike the other booleans, absent means *true*.
-        plan: match obj.get("plan") {
-            None | Some(Json::Null) => true,
-            Some(v) => v.as_bool().ok_or_else(|| {
-                ServeError::new(ErrorKind::BadRequest, "'plan' must be a boolean")
-            })?,
-        },
-        // Absent means *true*, like `plan`.
         mem_moves: match obj.get("mem_moves") {
             None | Some(Json::Null) => true,
             Some(v) => v.as_bool().ok_or_else(|| {
@@ -452,9 +442,6 @@ pub fn knobs_to_json(knobs: &Knobs) -> Json {
     if let Some(threads) = knobs.threads {
         pairs.push(("threads", Json::Int(threads as i64)));
     }
-    if let Some(batch) = knobs.batch {
-        pairs.push(("batch", Json::Int(batch as i64)));
-    }
     if let Some(cutoff) = knobs.cutoff {
         pairs.push(("cutoff", Json::Float(cutoff)));
     }
@@ -463,9 +450,6 @@ pub fn knobs_to_json(knobs: &Knobs) -> Json {
     }
     if knobs.traditional {
         pairs.push(("traditional", Json::Bool(true)));
-    }
-    if !knobs.plan {
-        pairs.push(("plan", Json::Bool(false)));
     }
     if !knobs.mem_moves {
         pairs.push(("mem_moves", Json::Bool(false)));
@@ -488,17 +472,15 @@ pub fn cache_key(canonical_text: &str, knobs: &Knobs) -> u128 {
     keyed.push_str(canonical_text);
     keyed.push_str("\x00knobs\x00");
     keyed.push_str(&format!(
-        "steps={:?};extra_regs={};seed={};restarts={};threads={:?};batch={:?};cutoff={:?};pipelined={};traditional={};plan={};mem_moves={};verify={};warm={}",
+        "steps={:?};extra_regs={};seed={};restarts={};threads={:?};cutoff={:?};pipelined={};traditional={};mem_moves={};verify={};warm={}",
         knobs.steps,
         knobs.extra_regs,
         knobs.seed,
         knobs.restarts,
         knobs.threads,
-        knobs.batch,
         knobs.cutoff,
         knobs.pipelined,
         knobs.traditional,
-        knobs.plan,
         knobs.mem_moves,
         knobs.verify.as_str(),
         knobs.warm.as_ref().map_or_else(|| "-".to_string(), |w| w.encode()),
@@ -515,7 +497,7 @@ mod tests {
     fn parses_a_full_allocate_request() {
         let req = parse_json(
             r#"{"cmd":"allocate","bench":"ewf","steps":17,"seed":7,"restarts":4,
-                "threads":2,"batch":8,"cutoff":1.5,"extra_regs":1,"pipelined":true,
+                "threads":2,"cutoff":1.5,"extra_regs":1,"pipelined":true,
                 "traditional":true,"verify":"full","timeout_ms":2000}"#,
         )
         .unwrap();
@@ -527,7 +509,6 @@ mod tests {
         assert_eq!(alloc.knobs.seed, 7);
         assert_eq!(alloc.knobs.restarts, 4);
         assert_eq!(alloc.knobs.threads, Some(2));
-        assert_eq!(alloc.knobs.batch, Some(8));
         assert_eq!(alloc.knobs.cutoff, Some(1.5));
         assert_eq!(alloc.knobs.extra_regs, 1);
         assert!(alloc.knobs.pipelined);
@@ -561,6 +542,7 @@ mod tests {
             (r#"{"cmd":"allocate","bench":"ewf","pipelined":"yes"}"#, "boolean"),
             (r#"{"cmd":"allocate","bench":"ewf","verify":"loud"}"#, "verify"),
             (r#"{"cmd":"allocate","bench":"ewf","warm":"garbage"}"#, "warm"),
+            (r#"{"cmd":"allocate","bench":"ewf","batch":8}"#, "'batch' was removed"),
             (r#"{"cmd":"reallocate","bench":"ewf"}"#, "base"),
             (r#"{"cmd":"reallocate","base":"xyz","bench":"ewf"}"#, "job id"),
             (r#"{"cmd":"trace"}"#, "id"),
@@ -595,11 +577,9 @@ mod tests {
             Knobs { seed: 43, ..base.clone() },
             Knobs { restarts: 2, ..base.clone() },
             Knobs { threads: Some(2), ..base.clone() },
-            Knobs { batch: Some(8), ..base.clone() },
             Knobs { cutoff: Some(1.5), ..base.clone() },
             Knobs { pipelined: true, ..base.clone() },
             Knobs { traditional: true, ..base.clone() },
-            Knobs { plan: false, ..base.clone() },
             Knobs { mem_moves: false, ..base.clone() },
             Knobs { verify: VerifyMode::Sample, ..base.clone() },
             Knobs { verify: VerifyMode::Full, ..base.clone() },
@@ -627,11 +607,9 @@ mod tests {
             seed: 7,
             restarts: 4,
             threads: Some(2),
-            batch: Some(8),
             cutoff: Some(1.25),
             pipelined: true,
             traditional: true,
-            plan: false,
             mem_moves: false,
             verify: VerifyMode::Full,
             warm: Some(Arc::new(WarmSpec {

@@ -277,7 +277,16 @@ pub fn build_warm_spec(base: &SeedEntry, new: &Cdfg, distance: u64) -> WarmSpec 
     // The image is only meaningful when the dimensions survived the
     // delta; `from_parts` still revalidates structurally at seed time.
     if base.graph.num_ops() == new.num_ops() && base.graph.num_values() == new.num_values() {
-        spec.parts = Some(base.parts.clone());
+        let mut parts = base.parts.clone();
+        // An edit can turn a swapped `add` into a `sub`. `from_parts`
+        // rejects a swap on a non-commutative op, which would cost the
+        // whole seeded start, so such swaps are dropped here.
+        for op in new.ops().filter(|o| !o.kind().is_commutative()) {
+            if let Some(swap) = parts.op_swap.get_mut(op.id().index()) {
+                *swap = false;
+            }
+        }
+        spec.parts = Some(parts);
     }
 
     // `new.ops()`/`new.values()` iterate in id order, so the tables the
@@ -393,5 +402,20 @@ mod tests {
         assert!(!spec.focus_ops.contains(&x));
         let wv = new.values().find(|v| v.label() == "w").unwrap().id().index() as u32;
         assert!(spec.focus_values.contains(&wv));
+    }
+
+    #[test]
+    fn warm_image_drops_swaps_on_ops_an_edit_made_non_commutative() {
+        // The base winner swapped `x = add a b`; the edit turns it into
+        // `sub`, which must read its operands in order.
+        let mut base = entry(9, BASE);
+        base.parts.op_swap = vec![true, true];
+        let new = parse_cdfg(&BASE.replace("x = add", "x = sub")).unwrap();
+        let spec = build_warm_spec(&base, &new, 1);
+        let parts = spec.parts.expect("dimensions survived the edit");
+        let x = new.ops().find(|o| o.label() == "x").unwrap().id().index();
+        let y = new.ops().find(|o| o.label() == "y").unwrap().id().index();
+        assert!(!parts.op_swap[x], "the swap on the now non-commutative op is cleared");
+        assert!(parts.op_swap[y], "the swap on the still commutative mul is kept");
     }
 }

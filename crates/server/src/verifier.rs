@@ -14,10 +14,12 @@
 //! Verdicts are cached content-addressed by **result fingerprint** —
 //! FNV-1a 128 over `(canonical design text, canonical report, verify
 //! mode)` — beside the existing result cache. Two jobs whose knobs
-//! differ only in result-invariant ways (thread counts, the move-plan
-//! A/B toggle) produce the same canonical report and therefore share one
-//! verdict: the second certification is a cache hit, recorded in the
-//! certificate's `cache` field. Each cached entry also carries the
+//! differ only in result-invariant ways (such as the cutoff factor of a
+//! single-threaded portfolio, which never abandons a chain) produce the
+//! same canonical report and therefore share one verdict: the second
+//! certification is a cache hit, recorded in the certificate's `cache`
+//! field. Thread counts are *not* among them: the canonical report
+//! carries `portfolio.threads`. Each cached entry also carries the
 //! portable [`TraceArtifact`] envelope, served by the wire `trace`
 //! command for offline audit (`salsa audit`).
 
@@ -61,8 +63,8 @@ pub struct VerifyJob {
 /// canonical (timing-zeroed) compact report, and the verify mode. Sound
 /// for the same reason the result cache is — both inputs are
 /// deterministic in `(design, knobs)` — but deliberately *coarser* than
-/// the result-cache key: knobs that never change the result (thread
-/// counts, the plan toggle) collapse onto one fingerprint.
+/// the result-cache key: knobs that never change the report (the cutoff
+/// factor at one thread) collapse onto one fingerprint.
 pub fn result_fingerprint(canonical_text: &str, canonical_report: &str, mode: VerifyMode) -> u128 {
     let mut keyed =
         String::with_capacity(canonical_text.len() + canonical_report.len() + 16);
@@ -317,7 +319,12 @@ mod tests {
     #[test]
     fn certify_job_certifies_a_real_report_and_result_invariant_knobs_share_a_fingerprint() {
         let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
-        let knobs = Knobs { restarts: 2, verify: VerifyMode::Full, ..Knobs::default() };
+        let knobs = Knobs {
+            restarts: 2,
+            threads: Some(1),
+            verify: VerifyMode::Full,
+            ..Knobs::default()
+        };
         let report = run_allocation(&graph, &knobs, None).unwrap();
         let (cert, artifact) = certify_job(&graph, &knobs, &report).unwrap();
         assert!(cert.verdict.is_certified(), "{}", cert.verdict);
@@ -331,12 +338,13 @@ mod tests {
         canonicalize_report(&mut canonical);
         assert_eq!(artifact.report, canonical.to_string_compact());
 
-        // A knob that never changes the result (the plan A/B toggle)
-        // lands on the same verdict fingerprint; the seed does not.
+        // A knob that never changes the result (the cutoff factor of a
+        // one-thread portfolio, which abandons no chain) lands on the
+        // same verdict fingerprint; the verify mode does not.
         let canon = canonical.to_string_compact();
         let text = graph.canonical_text();
         let fp = result_fingerprint(&text, &canon, VerifyMode::Full);
-        let toggled = Knobs { plan: false, ..knobs.clone() };
+        let toggled = Knobs { cutoff: Some(3.0), ..knobs.clone() };
         let mut other = run_allocation(&graph, &toggled, None).unwrap();
         canonicalize_report(&mut other);
         assert_eq!(

@@ -55,6 +55,7 @@ pub fn build_allocator<'a>(
         .extra_registers(knobs.extra_regs)
         .restarts(knobs.restarts)
         .config(config)
+        .mem_moves(knobs.mem_moves)
         .threads(1)
 }
 

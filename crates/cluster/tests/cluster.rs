@@ -90,6 +90,24 @@ fn one_worker_cluster_reproduces_local_portfolio_bytes() {
 }
 
 #[test]
+fn cluster_honours_the_memory_move_ablation() {
+    // With the M family off, fir8a keeps its two initial banks; a cluster
+    // that dropped the knob would consolidate them (the M-on result) and
+    // a service would cache that under the ablation's key.
+    let graph = salsa_serve::resolve_graph(&salsa_serve::GraphSource::Bench("fir8a".into()))
+        .expect("fir8a is built in");
+    let knobs = Knobs { restarts: 2, seed: 7, mem_moves: false, ..Knobs::default() };
+    let local = local_canonical(&graph, &knobs);
+    let report = cluster_report(&graph, &knobs, ClusterConfig::default(), &[FaultPlan::None]);
+    let breakdown = report.get("breakdown").expect("breakdown");
+    assert_eq!(report.get("cost").and_then(Json::as_u64), Some(8979));
+    assert_eq!(breakdown.get("mem_banks").and_then(Json::as_u64), Some(2));
+    let mut cluster = report;
+    canonicalize_report(&mut cluster);
+    assert_eq!(cluster.to_string_compact(), local, "a 1-worker cluster must match local");
+}
+
+#[test]
 fn two_workers_and_multi_chain_shards_do_not_change_the_bytes() {
     let graph = paper_example();
     let knobs = Knobs { restarts: 5, seed: 7, extra_regs: 1, ..Knobs::default() };

@@ -13,7 +13,7 @@ use salsa_sched::{FuClass, FuLibrary, Schedule};
 
 use crate::{
     portfolio_search, AllocContext, AllocError, BindingParts, CancelToken, ImproveConfig,
-    ImproveStats, InitialBinding, MoveKind, MovePlan, PortfolioConfig, PortfolioOutcome,
+    ImproveStats, InitialBinding, MoveKind, PortfolioConfig, PortfolioOutcome,
     PortfolioStats, WarmSpec,
 };
 
@@ -37,7 +37,6 @@ pub struct Allocator<'a> {
     seed: u64,
     restarts: usize,
     portfolio: PortfolioConfig,
-    compiled_plan: Option<Arc<MovePlan>>,
     memory: Option<MemConfig>,
     mem_moves: bool,
 }
@@ -57,7 +56,6 @@ impl<'a> Allocator<'a> {
             seed: 0,
             restarts: 1,
             portfolio: PortfolioConfig::default(),
-            compiled_plan: None,
             memory: None,
             mem_moves: true,
         }
@@ -167,18 +165,6 @@ impl<'a> Allocator<'a> {
         self
     }
 
-    /// Reuses a previously compiled [`MovePlan`] instead of compiling one
-    /// during [`prepare`](Allocator::prepare). The plan must have been
-    /// compiled for this exact `(graph, schedule, library, pool)` — the
-    /// admission-cache fast path for repeat designs. Plans never affect
-    /// results, only wall-clock, so a stale-but-shape-compatible plan
-    /// would be a correctness bug upstream, not here; the context checks
-    /// dimensions defensively and recompiles on mismatch.
-    pub fn compiled_plan(mut self, plan: Arc<MovePlan>) -> Self {
-        self.compiled_plan = Some(plan);
-        self
-    }
-
     /// Attaches a cooperative [`CancelToken`]: the search polls it at
     /// trial boundaries (and every few hundred moves within a trial) and
     /// [`run`](Allocator::run) returns [`AllocError::Cancelled`] if it
@@ -217,13 +203,7 @@ impl<'a> Allocator<'a> {
         } else {
             Datapath::new(&fu_counts, regs.max(1))
         };
-        let ctx = AllocContext::new_with_plan(
-            self.graph,
-            self.schedule,
-            self.library,
-            datapath,
-            self.compiled_plan.clone(),
-        )?;
+        let ctx = AllocContext::new(self.graph, self.schedule, self.library, datapath)?;
 
         let mut config = self.config.clone();
         // Memory graphs get the M family appended in `MoveKind::all()`

@@ -12,7 +12,8 @@
 //! connection use is owned either by an operation (operand reads, producer
 //! writes) or by a [`TransferKey`] (segment movement, copy feeds, loop
 //! boundaries). Moves retract the owners they disturb, mutate the state,
-//! and re-assert them; the refcounted
+//! and re-assert them — except F1, which relabels two identical units in
+//! place ([`Binding::swap_units`]); the refcounted
 //! [`ConnectionMatrix`](salsa_datapath::ConnectionMatrix) keeps equivalent
 //! 2-1 multiplexer counts exact throughout.
 //!
@@ -236,6 +237,8 @@ enum UndoOp {
     ConnAdd { src: Source, sink: Sink },
     ConnRemove { src: Source, sink: Sink },
     ArrayBank { array: usize, old: u32 },
+    /// Units `a` and `z` were relabelled; undo relabels them back.
+    UnitSwap { a: FuId, z: FuId },
 }
 
 /// Reusable candidate/owner buffers for the move proposers. Scratch state
@@ -872,7 +875,7 @@ impl<'a> Binding<'a> {
     /// (an allocation-free pass over prebuilt plan tables), so this stays
     /// off the allocator and cheaper than journaling a cache.
     fn memory_terms(&self) -> (usize, usize, usize) {
-        let plan = &*self.ctx.plan;
+        let plan = &self.ctx.plan;
         if plan.mem_ops.is_empty() {
             return (0, 0, 0);
         }
@@ -1307,6 +1310,7 @@ impl<'a> Binding<'a> {
             UndoOp::ConnAdd { src, sink } => self.conn.remove(src, sink),
             UndoOp::ConnRemove { src, sink } => self.conn.add(src, sink),
             UndoOp::ArrayBank { array, old } => self.array_bank[array] = old,
+            UndoOp::UnitSwap { a, z } => self.relabel_units(a, z),
         }
     }
 
@@ -1467,6 +1471,36 @@ impl<'a> Binding<'a> {
             self.set_fu_occ_cell(new, step, Some(FuOcc::Pass(key)));
             self.fu_item_inc(new);
         }
+    }
+
+    /// Relabels two same-class units: every operation and pass bound to
+    /// one moves to the other, with its occupancy, completion and item
+    /// counts and its connections. Unit areas are equal, so the cost is
+    /// unchanged. Journaled as one self-inverse entry.
+    pub(crate) fn swap_units(&mut self, a: FuId, z: FuId) {
+        self.j(UndoOp::UnitSwap { a, z });
+        self.relabel_units(a, z);
+    }
+
+    fn relabel_units(&mut self, a: FuId, z: FuId) {
+        debug_assert_eq!(self.fu_area_of(a), self.fu_area_of(z), "relabel must keep fu_area");
+        self.fu_occ.swap(a.index(), z.index());
+        self.fu_completes.swap(a.index(), z.index());
+        self.fu_item_count.swap(a.index(), z.index());
+        // Every operation owns exactly one completion cell on its unit.
+        for fu in [a, z] {
+            for op in self.fu_completes[fu.index()].iter().flatten() {
+                self.op_fu[op.index()] = fu;
+            }
+        }
+        for (_, fu) in &mut self.passes.entries {
+            if *fu == a {
+                *fu = z;
+            } else if *fu == z {
+                *fu = a;
+            }
+        }
+        self.conn.swap_fus(a, z);
     }
 
     /// Creates a one-segment copy chain at lifetime index `lo` in `reg`;

@@ -1,7 +1,5 @@
 //! The immutable context an allocation runs against.
 
-use std::sync::Arc;
-
 use salsa_cdfg::{Cdfg, OpId, ValueId, ValueSource};
 use salsa_datapath::Datapath;
 use salsa_sched::{lifetimes, FuClass, FuLibrary, Lifetimes, Schedule};
@@ -25,13 +23,10 @@ pub struct AllocContext<'a> {
     pub datapath: Datapath,
     /// Per-value stored lifetimes.
     pub lifetimes: Lifetimes,
-    /// Flat candidate tables compiled once at admission; the move
+    /// Flat candidate tables compiled once per context; the move
     /// proposers and the binding's owner enumeration draw from these
-    /// instead of re-deriving their search space per move. Shared
-    /// (`Arc`) so a serving layer's admission cache can compile a
-    /// design's plan once and lend it to every job over that design —
-    /// the plan is per-`(CDFG, schedule, pool)` and knob-invariant.
-    pub plan: Arc<MovePlan>,
+    /// instead of re-deriving their search space per move.
+    pub plan: MovePlan,
 }
 
 impl<'a> AllocContext<'a> {
@@ -47,22 +42,6 @@ impl<'a> AllocContext<'a> {
         schedule: &'a Schedule,
         library: &'a FuLibrary,
         datapath: Datapath,
-    ) -> Result<Self, AllocError> {
-        Self::new_with_plan(graph, schedule, library, datapath, None)
-    }
-
-    /// [`AllocContext::new`], optionally reusing a [`MovePlan`] compiled
-    /// earlier for the same `(graph, schedule, library, pool)` — the
-    /// admission-cache fast path for repeat designs. A plan compiled for
-    /// a different shape is detected by its dimension stamp and silently
-    /// recompiled (plans never affect results, so a defensive recompile
-    /// is always sound).
-    pub fn new_with_plan(
-        graph: &'a Cdfg,
-        schedule: &'a Schedule,
-        library: &'a FuLibrary,
-        datapath: Datapath,
-        plan: Option<Arc<MovePlan>>,
     ) -> Result<Self, AllocError> {
         let lts = lifetimes(graph, schedule, library);
         let need_regs = lts.max_live();
@@ -82,11 +61,7 @@ impl<'a> AllocContext<'a> {
         if graph.has_memory() && datapath.num_banks() == 0 {
             return Err(AllocError::NoMemoryBanks);
         }
-        let plan = plan
-            .filter(|p| p.matches(graph, schedule, &datapath))
-            .unwrap_or_else(|| {
-                Arc::new(MovePlan::compile(graph, schedule, library, &datapath, &lts))
-            });
+        let plan = MovePlan::compile(graph, schedule, library, &datapath, &lts);
         Ok(AllocContext { graph, schedule, library, datapath, lifetimes: lts, plan })
     }
 

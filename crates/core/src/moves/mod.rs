@@ -525,6 +525,78 @@ mod tests {
         }
     }
 
+    use proptest::prelude::*;
+    use salsa_cdfg::{random_cdfg, RandomCdfgConfig};
+    use salsa_datapath::Datapath;
+    use salsa_sched::{asap, fds_schedule, FuLibrary};
+
+    use crate::{initial_allocation, AllocContext};
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// F1 is a relabel journaled as one entry: the relabelled binding
+        /// equals a from-scratch rebuild of its own assignment image (every
+        /// occupancy table, count and the connection matrix), and rolling
+        /// the entry back restores the prior binding exactly. Checked from
+        /// the many states a random committed walk over the full move set
+        /// reaches, passes and idle spare units included.
+        #[test]
+        fn fu_exchange_is_a_one_entry_relabel(
+            graph_seed in 0u64..1000,
+            move_seed in 0u64..1000,
+            ops in 8usize..20,
+            states in 0usize..3,
+            slack in 0usize..3,
+            spare_units in 0usize..2,
+            pipelined in any::<bool>(),
+        ) {
+            let cfg = RandomCdfgConfig { ops, states, ..RandomCdfgConfig::default() };
+            let graph = random_cdfg(&cfg, graph_seed);
+            let library = if pipelined { FuLibrary::pipelined() } else { FuLibrary::standard() };
+            let steps = asap(&graph, &library).length + slack;
+            let schedule = fds_schedule(&graph, &library, steps).expect("cp + slack is feasible");
+            let mut units = schedule.fu_demand(&graph, &library);
+            for count in units.values_mut() {
+                *count += spare_units;
+            }
+            let datapath = Datapath::new(&units, schedule.register_demand(&graph, &library));
+            let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+            let mut binding = initial_allocation(&ctx);
+
+            let set = MoveSet::full();
+            let mut rng = StdRng::seed_from_u64(move_seed);
+            for _ in 0..60 {
+                let before = binding.clone();
+                if let Some(p @ Proposal::FuExchange { a, z }) =
+                    propose_move(&mut binding, MoveKind::FuExchange, &mut rng)
+                {
+                    binding.begin();
+                    prop_assert!(apply_proposal(&mut binding, p));
+                    prop_assert_eq!(binding.journal_len(), 1, "F1 journals one entry");
+                    let rebuilt = Binding::from_parts(&ctx, &binding.to_parts())
+                        .map_err(TestCaseError::fail)?;
+                    prop_assert!(binding == rebuilt, "F1 {}<->{} diverged from a rebuild", a, z);
+                    prop_assert_eq!(binding.breakdown(), before.breakdown(), "F1 is cost-neutral");
+                    binding.rollback();
+                    prop_assert!(binding == before, "F1 rollback diverged from the prior binding");
+                    // Keep the relabel, so later moves run on relabelled state.
+                    binding.begin();
+                    apply_proposal(&mut binding, p);
+                    binding.commit();
+                }
+                let kind = set.pick(&mut rng);
+                binding.begin();
+                if try_move(&mut binding, kind, &mut rng) {
+                    binding.commit();
+                } else {
+                    binding.rollback();
+                }
+            }
+            binding.check_consistency();
+        }
+    }
+
     #[test]
     fn labels_cover_f1_to_m3() {
         let labels: Vec<&str> = MoveKind::all().iter().map(|(_, l)| *l).collect();

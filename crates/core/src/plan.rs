@@ -5,8 +5,8 @@
 //! values, pass-capable units and lifetime positions from the graph,
 //! schedule and datapath each time a move kind came up. All of that is a
 //! pure function of the `(CDFG, schedule, datapath)` triple, so it is
-//! compiled **once per job admission** into a [`MovePlan`] of flat index
-//! tables held by the [`AllocContext`](crate::AllocContext). Every
+//! compiled **once per job** into a [`MovePlan`] of flat index tables
+//! held by the [`AllocContext`](crate::AllocContext). Every
 //! `propose_*` then becomes an indexed draw into a prebuilt slice (plus a
 //! cheap dynamic-feasibility filter through a reusable scratch buffer),
 //! and the hot owner/connection enumeration in
@@ -30,8 +30,9 @@ use crate::TransferKey;
 /// schedule-static; only the chain slot serving the read is binding state.
 pub(crate) type OpRead = (u8, ValueId, u32);
 
-/// Flat candidate tables compiled once per `(CDFG, datapath)` pair at job
-/// admission. See the module docs for the ordering contract.
+/// Flat candidate tables compiled once per `(CDFG, datapath)` pair when
+/// the job's context is built. See the module docs for the ordering
+/// contract.
 #[derive(Debug)]
 pub struct MovePlan {
     /// Indices into [`class_units`](Self::class_units) of classes with at
@@ -92,10 +93,6 @@ pub struct MovePlan {
     /// Per-bank `Mem`-unit id lists in datapath order — the M1/M3
     /// re-porting candidate tables.
     pub(crate) bank_units: Vec<Vec<FuId>>,
-    /// Dimension stamp `(ops, values, steps, fus, regs, arrays, banks)`
-    /// of the inputs the plan was compiled from — the defensive shape
-    /// check a shared (cached) plan is validated against before reuse.
-    stamp: (usize, usize, usize, usize, usize, usize, usize),
 }
 
 impl MovePlan {
@@ -243,33 +240,7 @@ impl MovePlan {
             op_array,
             num_arrays: graph.num_arrays(),
             bank_units,
-            stamp: (
-                num_ops,
-                num_values,
-                n_steps,
-                datapath.num_fus(),
-                datapath.num_regs(),
-                graph.num_arrays(),
-                datapath.num_banks(),
-            ),
         }
-    }
-
-    /// Whether this plan was compiled for inputs of exactly this shape.
-    /// A dimension match is necessary but not sufficient for identity —
-    /// the admission cache only shares plans between jobs holding the
-    /// same canonical design text, where it *is* sufficient.
-    pub(crate) fn matches(&self, graph: &Cdfg, schedule: &Schedule, datapath: &Datapath) -> bool {
-        self.stamp
-            == (
-                graph.num_ops(),
-                graph.num_values(),
-                schedule.n_steps(),
-                datapath.num_fus(),
-                datapath.num_regs(),
-                graph.num_arrays(),
-                datapath.num_banks(),
-            )
     }
 
     /// O(1) lifetime position of `step` within `value`'s stored lifetime.

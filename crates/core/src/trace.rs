@@ -803,6 +803,89 @@ mod tests {
         }
     }
 
+    /// Inserts `proposal` as a commit in the middle of `trace`, right after
+    /// a genuine commit and carrying that commit's cost (a relabel is
+    /// cost-neutral, so only the apply itself can reject it), and returns
+    /// the tampered trace with the inserted step's index.
+    fn insert_mid_trace(trace: &MoveTrace, proposal: Proposal) -> (MoveTrace, usize) {
+        let commits: Vec<(usize, u64)> = trace
+            .steps
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| match *s {
+                TraceStep::Commit { cost_after, .. } => Some((i, cost_after)),
+                TraceStep::Restore => None,
+            })
+            .collect();
+        let (prev, cost_after) = commits[commits.len() / 2];
+        let mut tampered = trace.clone();
+        tampered.steps.insert(prev + 1, TraceStep::Commit { proposal, cost_after });
+        (tampered, prev + 1)
+    }
+
+    #[test]
+    fn invalid_unit_exchanges_are_infeasible_at_their_step() {
+        use salsa_datapath::{FuId, MemConfig};
+        use salsa_sched::FuClass;
+        let units_of = |ctx: &AllocContext<'_>, class: FuClass| -> Vec<FuId> {
+            ctx.datapath.fus_of_class(class).map(|f| f.id()).collect()
+        };
+        let expect_infeasible =
+            |ctx: &AllocContext<'_>, config: &ImproveConfig, trace: &MoveTrace, a, z| {
+                let (tampered, at) = insert_mid_trace(trace, Proposal::FuExchange { a, z });
+                match replay_trace(ctx, config, &tampered, ReplayCheck::Full).map(drop) {
+                    Err(TraceError::InfeasibleStep { step }) => assert_eq!(step, at, "F1 {a},{z}"),
+                    other => panic!("F1 {a},{z}: expected InfeasibleStep at {at}, got {other:?}"),
+                }
+            };
+
+        // A unit exchanged with itself, on every ALU (some carry ops at
+        // any point of the run), and every cross-class ALU/MUL pair.
+        let graph = salsa_cdfg::benchmarks::ewf();
+        let library = FuLibrary::standard();
+        let schedule = schedule_for(&graph, &library, 2);
+        let datapath = datapath_for(&graph, &schedule, &library);
+        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+        let config = small_config();
+        let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
+        assert!(trace.commits() > 2);
+        let (alus, muls) = (units_of(&ctx, FuClass::Alu), units_of(&ctx, FuClass::Mul));
+        assert!(!alus.is_empty() && !muls.is_empty());
+        for &u in &alus {
+            expect_infeasible(&ctx, &config, &trace, u, u);
+        }
+        for &alu in &alus {
+            for &mul in &muls {
+                expect_infeasible(&ctx, &config, &trace, alu, mul);
+                expect_infeasible(&ctx, &config, &trace, mul, alu);
+            }
+        }
+
+        // Memory ports belong to banks: no F1 between two `Mem` units.
+        let graph = salsa_cdfg::benchmarks::fir_array();
+        let schedule = schedule_for(&graph, &library, 2);
+        let fu_counts = schedule.fu_demand(&graph, &library);
+        let ports = fu_counts.get(&FuClass::Mem).copied().unwrap_or(1).max(1);
+        let mem = MemConfig::uniform(graph.num_arrays().max(1), ports);
+        let datapath = Datapath::new_with_memory(
+            &fu_counts,
+            schedule.register_demand(&graph, &library).max(1),
+            &mem,
+        );
+        let ctx = AllocContext::new(&graph, &schedule, &library, datapath).unwrap();
+        let config = ImproveConfig { move_set: crate::MoveSet::with_memory(), ..small_config() };
+        let (trace, _) = record_slot_trace(&ctx, &config, 42, 0).unwrap();
+        let ports = units_of(&ctx, FuClass::Mem);
+        assert!(ports.len() >= 2, "fir8a has several memory ports");
+        for &a in &ports {
+            for &z in &ports {
+                if a != z {
+                    expect_infeasible(&ctx, &config, &trace, a, z);
+                }
+            }
+        }
+    }
+
     #[test]
     fn memory_traces_are_rejected_against_scalar_graphs() {
         use salsa_datapath::FuId;

@@ -197,6 +197,37 @@ impl ConnectionMatrix {
         }
     }
 
+    /// Relabels functional units `a` and `z`: every connection into or out
+    /// of one becomes the same connection of the other. Swaps the
+    /// `FuIn(a, *)`/`FuIn(z, *)` sink rows and, in every row, the
+    /// `FuOut(a)`/`FuOut(z)` use counts — O(rows), and self-inverse.
+    /// Fan-ins move with their rows, so the connection and mux totals are
+    /// unchanged.
+    pub fn swap_fus(&mut self, a: FuId, z: FuId) {
+        if a == z {
+            return;
+        }
+        let rows = 2 * a.index().max(z.index()) + 2;
+        if self.fu_sinks.len() < rows {
+            self.fu_sinks.resize_with(rows, SinkRow::default);
+        }
+        for port in [Port::Left, Port::Right] {
+            self.fu_sinks.swap(fu_sink_index(a, port), fu_sink_index(z, port));
+        }
+        let (ai, zi) = (a.index(), z.index());
+        for row in self.fu_sinks.iter_mut().chain(&mut self.reg_sinks) {
+            let uses = &mut row.fu_uses;
+            let (na, nz) = (uses.get(ai).copied().unwrap_or(0), uses.get(zi).copied().unwrap_or(0));
+            if na == nz {
+                continue;
+            }
+            if uses.len() <= ai.max(zi) {
+                uses.resize(ai.max(zi) + 1, 0);
+            }
+            uses.swap(ai, zi);
+        }
+    }
+
     /// Total equivalent 2-1 multiplexers: `sum over sinks of (fanin - 1)`.
     pub fn mux_equiv(&self) -> usize {
         self.mux_equiv
@@ -436,6 +467,67 @@ mod tests {
         assert_eq!(grown, fresh);
         fresh.add(Source::FuOut(f(1)), Sink::RegIn(r(0)));
         assert_ne!(grown, fresh, "use counts participate in equality");
+    }
+
+    #[test]
+    fn swap_fus_relabels_both_units_and_keeps_totals() {
+        let mut m = ConnectionMatrix::with_capacity(3, 4);
+        // Unit 0 reads r0/r1 and writes r2 twice; unit 2 reads r3 and
+        // feeds unit 1; unit 1 is untouched except as a sink of unit 2.
+        m.add(Source::RegOut(r(0)), Sink::FuIn(f(0), Port::Left));
+        m.add(Source::RegOut(r(1)), Sink::FuIn(f(0), Port::Left));
+        m.add(Source::RegOut(r(1)), Sink::FuIn(f(0), Port::Right));
+        m.add(Source::FuOut(f(0)), Sink::RegIn(r(2)));
+        m.add(Source::FuOut(f(0)), Sink::RegIn(r(2)));
+        m.add(Source::RegOut(r(3)), Sink::RegIn(r(2)));
+        m.add(Source::RegOut(r(3)), Sink::FuIn(f(2), Port::Right));
+        m.add(Source::FuOut(f(2)), Sink::FuIn(f(1), Port::Left));
+        let before = m.clone();
+
+        // The expected result, built from scratch with 0 and 2 relabelled.
+        let relabel = |fu: FuId| match fu.index() {
+            0 => f(2),
+            2 => f(0),
+            _ => fu,
+        };
+        let mut expected = ConnectionMatrix::new();
+        for (src, sink, n) in before.iter() {
+            let src = match src {
+                Source::FuOut(fu) => Source::FuOut(relabel(fu)),
+                other => other,
+            };
+            let sink = match sink {
+                Sink::FuIn(fu, port) => Sink::FuIn(relabel(fu), port),
+                other => other,
+            };
+            for _ in 0..n {
+                expected.add(src, sink);
+            }
+        }
+
+        m.swap_fus(f(0), f(2));
+        assert_eq!(m, expected);
+        assert_eq!((m.connections(), m.mux_equiv()), (before.connections(), before.mux_equiv()));
+        assert_eq!(m.fanin(Sink::FuIn(f(2), Port::Left)), 2);
+        assert_eq!(m.fanin(Sink::FuIn(f(0), Port::Left)), 0);
+        assert!(m.contains(Source::FuOut(f(2)), Sink::RegIn(r(2))));
+        assert!(m.contains(Source::FuOut(f(0)), Sink::FuIn(f(1), Port::Left)));
+        // Use counts travel with the relabel: two retractions empty it.
+        m.remove(Source::FuOut(f(2)), Sink::RegIn(r(2)));
+        assert!(m.contains(Source::FuOut(f(2)), Sink::RegIn(r(2))));
+        m.add(Source::FuOut(f(2)), Sink::RegIn(r(2)));
+
+        // Self-inverse, a no-op on `a == z`, and safe on rows the matrix
+        // never grew.
+        m.swap_fus(f(2), f(0));
+        assert_eq!(m, before);
+        m.swap_fus(f(1), f(1));
+        assert_eq!(m, before);
+        let mut small = ConnectionMatrix::new();
+        small.add(Source::FuOut(f(0)), Sink::RegIn(r(0)));
+        small.swap_fus(f(0), f(5));
+        assert!(small.contains(Source::FuOut(f(5)), Sink::RegIn(r(0))));
+        assert_eq!(small.connections(), 1);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The admission artifact cache: everything a job derives from its
 //! design *before* search — parsed graph, canonical text, similarity
-//! sketch, and per-knob-shape schedules with their compiled move plans —
-//! computed once per design and shared by every subsequent job over it.
+//! sketch, and per-knob-shape schedules — computed once per design and
+//! shared by every subsequent job over it.
 //!
 //! Admission used to repeat this work per request: parse (or rebuild) the
-//! graph, re-render the canonical text for the cache key, re-run
-//! force-directed scheduling and recompile the [`MovePlan`] even when the
-//! previous job had the identical design and knob shape. All of it is a
-//! pure function of `(design, pipelined, steps, extra_regs)`, so a repeat
-//! miss now skips straight to the portfolio search.
+//! graph, re-render the canonical text for the cache key and re-run
+//! force-directed scheduling even when the previous job had the identical
+//! design and knob shape. All of it is a pure function of
+//! `(design, pipelined, steps)`, so a repeat miss skips straight to the
+//! portfolio search. The compiled move plan is deliberately *not* kept:
+//! it is about half of an artifact's memory, and compiling it costs a few
+//! hundredths of a millisecond per job.
 //!
 //! Keyed by the FNV-1a 128 fingerprint of the *request spelling* (raw
 //! CDFG text or benchmark name), so a repeat admission doesn't even
@@ -21,7 +23,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use salsa_alloc::{AllocContext, MovePlan};
 use salsa_cdfg::{fnv1a_128, Cdfg};
 use salsa_sched::{asap, fds_schedule, FuLibrary, Schedule};
 
@@ -29,26 +30,23 @@ use crate::exec::resolve_graph;
 use crate::protocol::{ErrorKind, GraphSource, Knobs, ServeError};
 use crate::similarity::Sketch;
 
-/// The knob shape a derived schedule/plan pair depends on: the library
-/// choice, the *resolved* step count, and the register headroom (which
-/// sets the pool the plan was stamped against).
-type DerivedKey = (bool, usize, usize);
+/// The knob shape a derived schedule depends on: the library choice and
+/// the *resolved* step count.
+type DerivedKey = (bool, usize);
 
-/// A schedule and its compiled move plan, derived once per
-/// `(design, pipelined, steps, extra_regs)` shape.
+/// A schedule, derived once per `(design, pipelined, steps)` shape.
 pub struct Derived {
     /// The force-directed schedule.
     pub schedule: Schedule,
     /// The resolved step count (`knobs.steps` or the ASAP length).
     pub steps: usize,
-    /// The compiled candidate tables, lent to every job over this shape.
-    pub plan: Arc<MovePlan>,
 }
 
 /// Everything admission derives from one design.
 pub struct AdmissionArtifact {
-    /// The resolved (and, for benchmarks, canonicalized) graph.
-    pub graph: Cdfg,
+    /// The resolved (and, for benchmarks, canonicalized) graph — shared,
+    /// so the seed index's entry for a job holds no second copy.
+    pub graph: Arc<Cdfg>,
     /// `graph.canonical_text()`, rendered once — the result-cache key
     /// and the verifier both read it from here.
     pub canonical_text: String,
@@ -62,32 +60,29 @@ impl AdmissionArtifact {
     pub fn new(graph: Cdfg) -> Self {
         let canonical_text = graph.canonical_text();
         let sketch = Sketch::of(&graph);
-        AdmissionArtifact { graph, canonical_text, sketch, derived: Mutex::new(HashMap::new()) }
+        AdmissionArtifact {
+            graph: Arc::new(graph),
+            canonical_text,
+            sketch,
+            derived: Mutex::new(HashMap::new()),
+        }
     }
 
-    /// The schedule + compiled plan for this design under `knobs`,
-    /// deriving and caching them on first use. Scheduling failures are
+    /// The schedule for this design under `knobs`, deriving and caching
+    /// it on first use. Scheduling failures are
     /// not cached — a later request with feasible knobs must not be
     /// poisoned by an earlier infeasible one.
     pub fn derive(&self, knobs: &Knobs) -> Result<Arc<Derived>, ServeError> {
         let library =
             if knobs.pipelined { FuLibrary::pipelined() } else { FuLibrary::standard() };
         let steps = knobs.steps.unwrap_or_else(|| asap(&self.graph, &library).length);
-        let key = (knobs.pipelined, steps, knobs.extra_regs);
+        let key = (knobs.pipelined, steps);
         if let Some(hit) = self.derived.lock().expect("admission poisoned").get(&key) {
             return Ok(Arc::clone(hit));
         }
         let schedule = fds_schedule(&self.graph, &library, steps)
             .map_err(|e| ServeError::new(ErrorKind::Schedule, e.to_string()))?;
-        // Compiling the plan needs the full context (lifetimes + demand
-        // checks); the throwaway borrow is the point — the Arc'd plan
-        // survives it and every later job skips the compile.
-        let datapath =
-            salsa_audit::build_datapath(&self.graph, &schedule, &library, knobs.extra_regs);
-        let plan = AllocContext::new(&self.graph, &schedule, &library, datapath)
-            .map(|ctx| Arc::clone(&ctx.plan))
-            .map_err(|e| ServeError::new(ErrorKind::Alloc, e.to_string()))?;
-        let derived = Arc::new(Derived { schedule, steps, plan });
+        let derived = Arc::new(Derived { schedule, steps });
         self.derived
             .lock()
             .expect("admission poisoned")
@@ -191,14 +186,16 @@ mod tests {
         let canonical = cache.resolve(&GraphSource::Bench("diffeq".into())).unwrap();
         assert!(Arc::ptr_eq(&aliased, &canonical));
 
-        // Derivations dedupe per knob shape and share the compiled plan.
+        // Derivations dedupe per schedule shape; the register headroom
+        // only sizes the pool, so it shares the schedule.
         let knobs = Knobs::default();
         let d1 = a.derive(&knobs).unwrap();
         let d2 = b.derive(&knobs).unwrap();
         assert!(Arc::ptr_eq(&d1, &d2), "same knob shape must reuse the derivation");
-        let other = a.derive(&Knobs { extra_regs: 1, ..Knobs::default() }).unwrap();
-        assert!(!Arc::ptr_eq(&d1.plan, &other.plan), "extra_regs changes the pool and the plan");
-        assert_eq!(d1.steps, other.steps);
+        let roomier = a.derive(&Knobs { extra_regs: 1, ..Knobs::default() }).unwrap();
+        assert!(Arc::ptr_eq(&d1, &roomier), "extra_regs does not change the schedule");
+        let longer = a.derive(&Knobs { steps: Some(d1.steps + 1), ..Knobs::default() }).unwrap();
+        assert!(!Arc::ptr_eq(&d1, &longer), "the step count does");
     }
 
     #[test]

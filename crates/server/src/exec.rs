@@ -91,16 +91,14 @@ fn map_alloc_err(e: AllocError) -> ServeError {
     }
 }
 
-/// Runs an allocation over an admission artifact: the schedule and the
-/// compiled move plan come from the artifact's derivation cache, so a
-/// repeat design pays neither force-directed scheduling nor plan
-/// compilation again. Returns the report *and* the winner's context-free
+/// Runs an allocation over an admission artifact: the schedule comes
+/// from the artifact's derivation cache, so a repeat design does not pay
+/// for force-directed scheduling again. Returns the report *and* the winner's context-free
 /// binding image — the serving layer banks the latter in its seed index
 /// to warm-start future near-duplicate jobs.
 ///
 /// Result-identical to [`run_allocation`]: the cached schedule is the
-/// same pure function of `(graph, knobs)`, and compiled plans never
-/// affect trajectories, only wall-clock.
+/// same pure function of `(graph, knobs)`.
 pub fn run_artifact(
     artifact: &AdmissionArtifact,
     knobs: &Knobs,
@@ -116,8 +114,7 @@ pub fn run_artifact(
         .extra_registers(knobs.extra_regs)
         .restarts(knobs.restarts)
         .config(config)
-        .mem_moves(knobs.mem_moves)
-        .compiled_plan(derived.plan.clone());
+        .mem_moves(knobs.mem_moves);
     if let Some(threads) = knobs.threads {
         allocator = allocator.threads(threads);
     }

@@ -13,6 +13,8 @@
 //! worker pool (fixed) ── pop → schedule → portfolio search under the
 //!                        job's deadline token → build the response
 //!                        payload → cache → complete the reply handle
+//! verifier lane ── certify `verify: sample|full` jobs, and re-record
+//!                  the trace artifacts `trace` requests ask for
 //! ```
 //!
 //! The I/O loop lives in [`salsa_wire::net`]; this module supplies the
@@ -52,8 +54,8 @@ use crate::queue::{JobQueue, PushError};
 use crate::similarity::{build_warm_spec, SeedEntry, SeedIndex};
 use crate::stats::ServerStats;
 use crate::verifier::{
-    certificate_json, certify_job, parse_trace_id, result_fingerprint, set_cache_provenance,
-    CertEntry, VerdictCache, VerifyJob,
+    parse_trace_id, result_fingerprint, set_cache_provenance, CertEntry, TraceSource,
+    VerdictCache, VerifyJob,
 };
 
 /// Service tuning. All fields have serviceable defaults.
@@ -113,9 +115,16 @@ struct Job {
     reply: ReplyHandle,
 }
 
+/// Work for the verifier lane: certify a completed job, or re-record
+/// the trace artifact behind a cached certificate for a `trace` request.
+enum LaneJob {
+    Certify(VerifyJob),
+    Trace { entry: Arc<CertEntry>, reply: ReplyHandle },
+}
+
 struct Shared {
     queue: JobQueue<Job>,
-    verify_queue: JobQueue<VerifyJob>,
+    verify_queue: JobQueue<LaneJob>,
     cache: ResultCache,
     verdicts: VerdictCache,
     admission: AdmissionCache,
@@ -320,21 +329,29 @@ fn dispatch(shared: &Arc<Shared>, incoming: Incoming, handle: ReplyHandle) {
             )
         }
         Command::Trace(id) => {
-            // Answered inline from the verdict cache: artifacts are
-            // already built, so this is a lookup, not a job.
-            let response = match parse_trace_id(&id)
-                .and_then(|trace_id| shared.verdicts.get_by_trace(trace_id))
-            {
-                Some(entry) => Json::obj(vec![
-                    ("status", Json::Str("ok".into())),
-                    ("artifact", entry.artifact.clone()),
-                ]),
-                None => error_response(&ServeError::new(
+            // The lookup is inline; re-recording the trace is a search
+            // re-run, so it goes to the verifier lane.
+            let Some(entry) = parse_trace_id(&id).and_then(|t| shared.verdicts.get_by_trace(t))
+            else {
+                let err = ServeError::new(
                     ErrorKind::BadRequest,
                     format!("unknown trace id '{id}' (certificates are cached; re-run the job)"),
-                )),
+                );
+                handle.send(payload(error_response(&err)));
+                return;
             };
-            handle.send(payload(response));
+            let job = LaneJob::Trace { entry, reply: handle };
+            let refused = match shared.verify_queue.try_push(job) {
+                Ok(()) => return,
+                Err(PushError::Full(job)) => (job, rejected_response(shared.config.retry_after_ms)),
+                Err(PushError::Closed(job)) => {
+                    let err = ServeError::new(ErrorKind::ShuttingDown, "server is draining");
+                    (job, error_response(&err))
+                }
+            };
+            if let (LaneJob::Trace { reply, .. }, response) = refused {
+                reply.send(payload(response));
+            }
         }
     }
 }
@@ -571,14 +588,14 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
                     reply: job.reply,
                     report,
                 };
-                match shared.verify_queue.push_wait(handoff) {
-                    Ok(()) => {}
-                    Err(PushError::Full(missed)) | Err(PushError::Closed(missed)) => {
-                        // Shutdown race: the lane is gone, so answer
-                        // uncertified rather than dropping the reply
-                        // (and leave the cache alone).
-                        missed.reply.send(payload(ok_response_keyed(missed.report, missed.key)));
-                    }
+                if let Err(PushError::Full(LaneJob::Certify(missed)))
+                | Err(PushError::Closed(LaneJob::Certify(missed))) =
+                    shared.verify_queue.push_wait(LaneJob::Certify(handoff))
+                {
+                    // Shutdown race: the lane is gone, so answer
+                    // uncertified rather than dropping the reply (and
+                    // leave the cache alone).
+                    missed.reply.send(payload(ok_response_keyed(missed.report, missed.key)));
                 }
                 return;
             }
@@ -602,7 +619,19 @@ fn process_job(shared: &Arc<Shared>, job: Job) {
 
 fn verifier_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.verify_queue.pop() {
-        process_verify(shared, job);
+        match job {
+            LaneJob::Certify(job) => process_verify(shared, job),
+            LaneJob::Trace { entry, reply } => {
+                let response = match entry.source.trace_artifact(entry.trace_id) {
+                    Ok(artifact) => Json::obj(vec![
+                        ("status", Json::Str("ok".into())),
+                        ("artifact", artifact.to_json()),
+                    ]),
+                    Err(err) => error_response(&err),
+                };
+                reply.send(payload(response));
+            }
+        }
     }
 }
 
@@ -615,30 +644,30 @@ fn process_verify(shared: &Arc<Shared>, job: VerifyJob) {
     let mode = job.knobs.verify;
     let mut canonical = job.report.clone();
     crate::report::canonicalize_report(&mut canonical);
+    let canonical = canonical.to_string_compact();
     // The artifact already holds the rendered canonical text — the lane
     // neither re-parses nor re-renders what admission produced.
-    let fingerprint =
-        result_fingerprint(&job.artifact.canonical_text, &canonical.to_string_compact(), mode);
+    let fingerprint = result_fingerprint(&job.artifact.canonical_text, &canonical, mode);
 
     let (entry, provenance) = match shared.verdicts.get(fingerprint) {
         Some(hit) => (hit, "hit"),
-        None => match certify_job(&job.artifact.graph, &job.knobs, &job.report) {
-            Ok((cert, artifact)) => {
-                let verify_ms = started.elapsed().as_secs_f64() * 1e3;
-                let entry = Arc::new(CertEntry {
-                    trace_id: cert.trace.fingerprint(),
-                    certificate: certificate_json(&cert, mode, verify_ms, "miss"),
-                    artifact: artifact.to_json(),
-                });
-                shared.verdicts.insert(fingerprint, Arc::clone(&entry));
-                (entry, "miss")
+        None => {
+            let artifact = Arc::clone(&job.artifact);
+            match TraceSource::new(artifact, job.knobs.clone(), &job.report, canonical)
+                .and_then(|source| source.certify(started))
+            {
+                Ok(entry) => {
+                    let entry = Arc::new(entry);
+                    shared.verdicts.insert(fingerprint, Arc::clone(&entry));
+                    (entry, "miss")
+                }
+                Err(err) => {
+                    shared.vstats.record_failed(started.elapsed());
+                    job.reply.send(payload(error_response(&err)));
+                    return;
+                }
             }
-            Err(err) => {
-                shared.vstats.record_failed(started.elapsed());
-                job.reply.send(payload(error_response(&err)));
-                return;
-            }
-        },
+        }
     };
 
     let mut certificate = entry.certificate.clone();
@@ -717,8 +746,10 @@ mod tests {
         assert!(cert.get("verify_ms").and_then(Json::as_f64).is_some());
         let trace_id = cert.get("trace_id").and_then(Json::as_str).unwrap().to_string();
 
-        // The artifact behind the certificate is served by `trace`, and
-        // its embedded report is the canonical form of the live one.
+        // The artifact behind the certificate is re-recorded on the
+        // verifier lane and served by `trace`: it carries exactly the
+        // certified trace, and its embedded report is the canonical form
+        // of the live one.
         let traced = roundtrip(&mut stream, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));
         assert_eq!(traced.get("status").and_then(Json::as_str), Some("ok"));
         let artifact = traced.get("artifact").expect("artifact");
@@ -726,6 +757,11 @@ mod tests {
             artifact.get("format").and_then(Json::as_str),
             Some(salsa_audit::ARTIFACT_FORMAT)
         );
+        let served = salsa_audit::TraceArtifact::from_json(artifact).unwrap();
+        let trace = served.decode_trace().unwrap();
+        assert_eq!(crate::verifier::trace_id_hex(trace.fingerprint()), trace_id);
+        let again = roundtrip(&mut stream, &format!(r#"{{"cmd":"trace","id":"{trace_id}"}}"#));
+        assert_eq!(again.to_string_compact(), traced.to_string_compact(), "re-records are stable");
         let mut canonical = report.clone();
         if let Json::Obj(pairs) = &mut canonical {
             pairs.retain(|(k, _)| k != "certificate");

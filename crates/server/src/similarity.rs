@@ -107,8 +107,9 @@ pub struct SeedEntry {
     /// The base job's result-cache key (the `source` provenance of any
     /// spec built from this entry, and the `reallocate` verb's handle).
     pub key: u128,
-    /// The base design, canonicalized (label matching runs against it).
-    pub graph: Cdfg,
+    /// The base design, canonicalized (label matching runs against it);
+    /// shared with the job's admission artifact.
+    pub graph: Arc<Cdfg>,
     /// The winning allocation image.
     pub parts: BindingParts,
     /// The winning cost, for operator-facing logging.
@@ -307,7 +308,7 @@ mod tests {
         let sketch = Sketch::of(&graph);
         SeedEntry {
             key,
-            graph,
+            graph: Arc::new(graph),
             parts: BindingParts {
                 op_fu: Vec::new(),
                 op_swap: Vec::new(),

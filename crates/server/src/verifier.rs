@@ -19,24 +19,26 @@
 //! same canonical report and therefore share one verdict: the second
 //! certification is a cache hit, recorded in the certificate's `cache`
 //! field. Thread counts are *not* among them: the canonical report
-//! carries `portfolio.threads`. Each cached entry also carries the
-//! portable [`TraceArtifact`] envelope, served by the wire `trace`
-//! command for offline audit (`salsa audit`).
+//! carries `portfolio.threads`. Each cached entry also keeps what it
+//! takes to rebuild the portable [`TraceArtifact`] envelope — the design,
+//! knobs, winner slot, cost and canonical report, not the trace text —
+//! so the wire `trace` command can re-record the trace on this lane and
+//! serve the artifact for offline audit (`salsa audit`).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use salsa_alloc::record_slot_trace;
 use salsa_audit::{certify, Certification, TraceArtifact, VerifyMode};
-use salsa_cdfg::{fnv1a_128, Cdfg};
+use salsa_cdfg::fnv1a_128;
 use salsa_wire::net::ReplyHandle;
 
 use crate::admission::AdmissionArtifact;
 use crate::exec::with_replay_env;
 use crate::json::Json;
 use crate::protocol::{knobs_to_json, ErrorKind, Knobs, ServeError};
-use crate::report::canonicalize_report;
 
 /// A completed allocation awaiting certification. Carries everything the
 /// lane needs to re-derive the result — and the reply handle, because
@@ -88,15 +90,119 @@ pub fn parse_trace_id(id: &str) -> Option<u128> {
 }
 
 /// One cached certification: the certificate section (as first
-/// computed, provenance `miss`) and the trace artifact behind it.
+/// computed, provenance `miss`) and the inputs its trace artifact is
+/// rebuilt from.
 pub struct CertEntry {
     /// The trace fingerprint, for the secondary `trace_id` index.
     pub trace_id: u128,
     /// The `certificate` JSON section (provenance field patched per
     /// reply).
     pub certificate: Json,
-    /// The portable [`TraceArtifact`] envelope, served by `trace`.
-    pub artifact: Json,
+    /// What the `trace` command re-records the artifact from.
+    pub source: TraceSource,
+}
+
+/// A certified job's re-derivation inputs: everything its trace and
+/// [`TraceArtifact`] are pure functions of. The trace text itself is not
+/// kept — it is most of a certified job's memory and is only read again
+/// by a `trace` request, which re-records it on the verifier lane.
+pub struct TraceSource {
+    /// The job's admission artifact (design and canonical text).
+    pub artifact: Arc<AdmissionArtifact>,
+    /// The job's knobs, warm seed and verify mode included.
+    pub knobs: Knobs,
+    /// The winning portfolio slot.
+    pub slot: usize,
+    /// The report's final cost.
+    pub cost: u64,
+    /// The canonical compact report the certificate covers.
+    pub report: String,
+}
+
+impl TraceSource {
+    /// Collects the inputs for `report`, the job's allocation report
+    /// (whose canonical compact form is `canonical_report`).
+    ///
+    /// # Errors
+    ///
+    /// An [`ErrorKind::Audit`] error if the report lacks its cost or
+    /// winner slot.
+    pub fn new(
+        artifact: Arc<AdmissionArtifact>,
+        knobs: Knobs,
+        report: &Json,
+        canonical_report: String,
+    ) -> Result<Self, ServeError> {
+        let cost = report
+            .get("cost")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| ServeError::new(ErrorKind::Audit, "report has no 'cost' to certify"))?;
+        let slot = report
+            .get("portfolio")
+            .and_then(|p| p.get("winner_slot"))
+            .and_then(Json::as_u64)
+            .ok_or_else(|| {
+                ServeError::new(ErrorKind::Audit, "report has no 'portfolio.winner_slot' to replay")
+            })? as usize;
+        Ok(TraceSource { artifact, knobs, slot, cost, report: canonical_report })
+    }
+
+    /// Runs the certification pipeline — rebuild the allocation
+    /// environment, record the winning slot's trace, replay it at the
+    /// requested depth, verify symbolically — and packages the cache
+    /// entry (provenance `miss`, `verify_ms` counted from `started`).
+    /// The trace is encoded once, for its id.
+    ///
+    /// # Errors
+    ///
+    /// An [`ErrorKind::Audit`] error if any link of the audit chain
+    /// (re-run, replay, bit-for-bit comparison) breaks. A *refuted*
+    /// symbolic verdict is not an error — it is carried in the
+    /// certificate.
+    pub fn certify(self, started: Instant) -> Result<CertEntry, ServeError> {
+        let knobs = &self.knobs;
+        let cert = with_replay_env(&self.artifact.graph, knobs, |ctx, config| {
+            certify(ctx, config, knobs.seed, self.slot, self.cost, knobs.verify)
+        })?
+        .map_err(|e| ServeError::new(ErrorKind::Audit, e.to_string()))?;
+        let trace_id = cert.trace.fingerprint();
+        let verify_ms = started.elapsed().as_secs_f64() * 1e3;
+        let certificate = certificate_json(&cert, trace_id, knobs.verify, verify_ms, "miss");
+        Ok(CertEntry { trace_id, certificate, source: self })
+    }
+
+    /// Re-records the winning slot's trace and packages the portable
+    /// artifact — byte-identical to the one certification saw, which
+    /// the fingerprint check against `trace_id` confirms.
+    ///
+    /// # Errors
+    ///
+    /// An [`ErrorKind::Audit`] error if the re-run fails or records a
+    /// trace with a different fingerprint.
+    pub fn trace_artifact(&self, trace_id: u128) -> Result<TraceArtifact, ServeError> {
+        let audit = |message: String| ServeError::new(ErrorKind::Audit, message);
+        let trace = with_replay_env(&self.artifact.graph, &self.knobs, |ctx, config| {
+            record_slot_trace(ctx, config, self.knobs.seed, self.slot).map(|(trace, _)| trace)
+        })?
+        .map_err(|e| audit(e.to_string()))?;
+        let encoded = trace.encode();
+        let recorded = fnv1a_128(encoded.as_bytes());
+        if recorded != trace_id {
+            return Err(audit(format!(
+                "re-recorded trace {} does not match certificate trace {}",
+                trace_id_hex(recorded),
+                trace_id_hex(trace_id)
+            )));
+        }
+        Ok(TraceArtifact {
+            design: self.artifact.canonical_text.clone(),
+            knobs: knobs_to_json(&self.knobs),
+            slot: self.slot,
+            trace: encoded,
+            cost: self.cost,
+            report: self.report.clone(),
+        })
+    }
 }
 
 struct CacheInner {
@@ -195,6 +301,7 @@ impl VerdictCache {
 /// Renders the `certificate` response section.
 pub fn certificate_json(
     cert: &Certification,
+    trace_id: u128,
     mode: VerifyMode,
     verify_ms: f64,
     cache: &str,
@@ -203,7 +310,7 @@ pub fn certificate_json(
         ("verdict", Json::Str(cert.verdict.as_str().into())),
         ("mode", Json::Str(mode.as_str().into())),
         ("verify_ms", Json::Float(verify_ms)),
-        ("trace_id", Json::Str(trace_id_hex(cert.trace.fingerprint()))),
+        ("trace_id", Json::Str(trace_id_hex(trace_id))),
         ("cache", Json::Str(cache.into())),
         ("commits", Json::Int(cert.commits as i64)),
     ])
@@ -220,57 +327,17 @@ pub fn set_cache_provenance(certificate: &mut Json, provenance: &str) {
     }
 }
 
-/// Runs the certification pipeline for one completed job: rebuild the
-/// allocation environment, record the winning slot's trace, replay it at
-/// the requested depth, verify symbolically, and package the portable
-/// artifact. Pure in `(graph, knobs, report)`.
-///
-/// # Errors
-///
-/// Returns a [`ServeError`] of kind [`ErrorKind::Audit`] if the report
-/// is missing its cost or winner slot, or if any link of the audit chain
-/// (re-run, replay, bit-for-bit comparison) breaks. A *refuted* symbolic
-/// verdict is not an error — it is carried in the certificate.
-pub fn certify_job(
-    graph: &Cdfg,
-    knobs: &Knobs,
-    report: &Json,
-) -> Result<(Certification, TraceArtifact), ServeError> {
-    let cost = report
-        .get("cost")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ServeError::new(ErrorKind::Audit, "report has no 'cost' to certify"))?;
-    let slot = report
-        .get("portfolio")
-        .and_then(|p| p.get("winner_slot"))
-        .and_then(Json::as_u64)
-        .ok_or_else(|| {
-            ServeError::new(ErrorKind::Audit, "report has no 'portfolio.winner_slot' to replay")
-        })? as usize;
-
-    let cert = with_replay_env(graph, knobs, |ctx, config| {
-        certify(ctx, config, knobs.seed, slot, cost, knobs.verify)
-    })?
-    .map_err(|e| ServeError::new(ErrorKind::Audit, e.to_string()))?;
-
-    let mut canonical = report.clone();
-    canonicalize_report(&mut canonical);
-    let artifact = TraceArtifact {
-        design: graph.canonical_text(),
-        knobs: knobs_to_json(knobs),
-        slot,
-        trace: cert.trace.encode(),
-        cost,
-        report: canonical.to_string_compact(),
-    };
-    Ok((cert, artifact))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::{resolve_graph, run_allocation};
     use crate::protocol::GraphSource;
+    use crate::report::canonicalize_report;
+
+    fn paper_artifact() -> Arc<AdmissionArtifact> {
+        let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
+        Arc::new(AdmissionArtifact::new(graph))
+    }
 
     #[test]
     fn trace_ids_roundtrip_and_reject_junk() {
@@ -285,11 +352,18 @@ mod tests {
     #[test]
     fn verdict_cache_serves_both_indexes_and_evicts_fifo() {
         let cache = VerdictCache::new(2);
+        let artifact = paper_artifact();
         let entry = |trace_id: u128| {
             Arc::new(CertEntry {
                 trace_id,
                 certificate: Json::obj(vec![("cache", Json::Str("miss".into()))]),
-                artifact: Json::Null,
+                source: TraceSource {
+                    artifact: Arc::clone(&artifact),
+                    knobs: Knobs::default(),
+                    slot: 0,
+                    cost: 0,
+                    report: String::new(),
+                },
             })
         };
         assert!(cache.get(1).is_none());
@@ -318,34 +392,52 @@ mod tests {
 
     #[test]
     fn certify_job_certifies_a_real_report_and_result_invariant_knobs_share_a_fingerprint() {
-        let graph = resolve_graph(&GraphSource::Bench("paper_example".into())).unwrap();
+        let artifact = paper_artifact();
+        let graph = &artifact.graph;
         let knobs = Knobs {
             restarts: 2,
             threads: Some(1),
             verify: VerifyMode::Full,
             ..Knobs::default()
         };
-        let report = run_allocation(&graph, &knobs, None).unwrap();
-        let (cert, artifact) = certify_job(&graph, &knobs, &report).unwrap();
-        assert!(cert.verdict.is_certified(), "{}", cert.verdict);
-        assert!(cert.commits > 0);
-        assert_eq!(artifact.cost, report.get("cost").and_then(Json::as_u64).unwrap());
-        assert!(artifact.decode_trace().is_ok());
-
-        // The artifact's embedded report is the canonical form of the
-        // live one.
+        let report = run_allocation(graph, &knobs, None).unwrap();
         let mut canonical = report.clone();
         canonicalize_report(&mut canonical);
-        assert_eq!(artifact.report, canonical.to_string_compact());
+        let canon = canonical.to_string_compact();
+        let source =
+            TraceSource::new(Arc::clone(&artifact), knobs.clone(), &report, canon.clone()).unwrap();
+        let entry = source.certify(Instant::now()).unwrap();
+        let cert = &entry.certificate;
+        assert_eq!(cert.get("verdict").and_then(Json::as_str), Some("certified"));
+        assert!(cert.get("commits").and_then(Json::as_u64).unwrap() > 0);
+        let trace_id = entry.trace_id;
+        assert_eq!(cert.get("trace_id").and_then(Json::as_str), Some(&*trace_id_hex(trace_id)));
+
+        // The re-recorded artifact carries the certified trace (its
+        // fingerprint is the id), and its embedded report is the
+        // canonical form of the live one.
+        let rebuilt = entry.source.trace_artifact(trace_id).unwrap();
+        let expected = TraceArtifact {
+            design: graph.canonical_text(),
+            knobs: knobs_to_json(&knobs),
+            slot: entry.source.slot,
+            trace: rebuilt.trace.clone(),
+            cost: report.get("cost").and_then(Json::as_u64).unwrap(),
+            report: canon.clone(),
+        };
+        assert_eq!(rebuilt, expected);
+        assert_eq!(rebuilt.decode_trace().unwrap().fingerprint(), trace_id);
+        // A foreign id is refused rather than served for the wrong trace.
+        let foreign = entry.source.trace_artifact(trace_id ^ 1);
+        assert_eq!(foreign.unwrap_err().kind, ErrorKind::Audit);
 
         // A knob that never changes the result (the cutoff factor of a
         // one-thread portfolio, which abandons no chain) lands on the
         // same verdict fingerprint; the verify mode does not.
-        let canon = canonical.to_string_compact();
         let text = graph.canonical_text();
         let fp = result_fingerprint(&text, &canon, VerifyMode::Full);
         let toggled = Knobs { cutoff: Some(3.0), ..knobs.clone() };
-        let mut other = run_allocation(&graph, &toggled, None).unwrap();
+        let mut other = run_allocation(graph, &toggled, None).unwrap();
         canonicalize_report(&mut other);
         assert_eq!(
             result_fingerprint(&text, &other.to_string_compact(), VerifyMode::Full),
@@ -353,7 +445,8 @@ mod tests {
         );
         assert_ne!(result_fingerprint(&text, &canon, VerifyMode::Sample), fp);
 
-        // A tampered report cost is refused.
+        // A tampered report cost is refused, and so is a report without
+        // its winner slot.
         let mut lied = report.clone();
         if let Json::Obj(pairs) = &mut lied {
             for (key, value) in pairs.iter_mut() {
@@ -362,7 +455,13 @@ mod tests {
                 }
             }
         }
-        let err = certify_job(&graph, &knobs, &lied).unwrap_err();
+        let lied = TraceSource::new(Arc::clone(&artifact), knobs.clone(), &lied, canon.clone());
+        assert_eq!(lied.unwrap().certify(Instant::now()).err().unwrap().kind, ErrorKind::Audit);
+        let mut slotless = report.clone();
+        if let Json::Obj(pairs) = &mut slotless {
+            pairs.retain(|(key, _)| key != "portfolio");
+        }
+        let err = TraceSource::new(artifact, knobs, &slotless, canon).err().unwrap();
         assert_eq!(err.kind, ErrorKind::Audit);
     }
 }

@@ -50,6 +50,9 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), String> {
     let command = args.first().map(String::as_str).unwrap_or("help");
+    if let Some((values, switches)) = accepted_flags(command) {
+        check_flags(command, args, &values, &switches)?;
+    }
     match command {
         "info" => info(args),
         "dot" => dot(args),
@@ -93,7 +96,7 @@ usage:
   salsa-hls submit   [--addr HOST:PORT] (--bench NAME | <file.cdfg>)
                      [--steps N] [--extra-regs K] [--seed S] [--restarts R]
                      [--threads T] [--cutoff F] [--pipelined]
-                     [--traditional] [--verify off|sample|full]
+                     [--traditional] [--no-mem-moves] [--verify off|sample|full]
                      [--dump-trace PATH] [--timeout-ms MS] [--pretty]
                      [--retry N] [--protocol json|binary|auto]
   salsa-hls submit   [--addr HOST:PORT] (--ping | --stats | --shutdown)
@@ -103,8 +106,8 @@ usage:
   salsa-hls cluster-alloc  (--bench NAME | <file.cdfg>) [--steps N]
                      [--extra-regs K] [--seed S] [--restarts R]
                      [--cutoff F] [--pipelined] [--traditional]
-                     [--listen HOST:PORT] [--shard-chains N] [--lease-ms MS]
-                     [--canonical]
+                     [--no-mem-moves] [--listen HOST:PORT] [--shard-chains N]
+                     [--lease-ms MS] [--canonical]
   salsa-hls cluster-worker [--addr HOST:PORT] [--name NAME] [--poll-ms MS]
                      [--heartbeat-ms MS] [--max-reconnects N]
                      [--protocol json|binary|auto]
@@ -115,7 +118,8 @@ machine's parallelism; 1 reproduces the sequential loop bit-for-bit);
 --cutoff sets the shared best-bound cutoff factor (>= 1.0, default 1.25);
 --no-mem-moves disables the M move family on memory (array) designs,
 freezing bank assignment at the initial placement — the ablation
-baseline; scalar designs are unaffected.
+baseline; scalar designs are unaffected. A flag the subcommand does not
+accept is an error.
 
 serve starts the allocation service (default 127.0.0.1:7741, port 0
 picks a free port) and runs until a shutdown command drains it. Both
@@ -172,6 +176,80 @@ job against the fleet, print the report, shut down.
   feedback yprev <- y
   output y
 ";
+
+/// Flags of `allocate` and `bench` that take a value.
+const ALLOC_VALUES: &[&str] = &[
+    "--steps", "--extra-regs", "--seed", "--restarts", "--threads", "--cutoff", "--verilog",
+    "--testbench", "--dot",
+];
+/// Boolean flags of `allocate` (`bench` adds `--list`).
+const ALLOC_SWITCHES: &[&str] = &[
+    "--pipelined", "--traditional", "--no-mem-moves", "--controller", "--report", "--json",
+    "--canonical",
+];
+const SERVE_VALUES: &[&str] = &[
+    "--addr", "--workers", "--verify-workers", "--queue", "--cache", "--default-timeout-ms",
+    "--max-in-flight", "--idle-timeout-ms", "--backend", "--cluster-listen", "--shard-chains",
+    "--lease-ms",
+];
+/// Value flags of `submit` (`reallocate` adds `--base`).
+const SUBMIT_VALUES: &[&str] = &[
+    "--addr", "--bench", "--steps", "--extra-regs", "--seed", "--restarts", "--threads",
+    "--cutoff", "--timeout-ms", "--retry", "--protocol", "--verify", "--dump-trace",
+];
+const SUBMIT_SWITCHES: &[&str] = &[
+    "--pipelined", "--traditional", "--no-mem-moves", "--pretty", "--ping", "--stats",
+    "--shutdown",
+];
+const CLUSTER_ALLOC_VALUES: &[&str] = &[
+    "--bench", "--steps", "--extra-regs", "--seed", "--restarts", "--cutoff", "--listen",
+    "--shard-chains", "--lease-ms",
+];
+const CLUSTER_ALLOC_SWITCHES: &[&str] =
+    &["--pipelined", "--traditional", "--no-mem-moves", "--canonical"];
+const CLUSTER_WORKER_VALUES: &[&str] =
+    &["--addr", "--name", "--poll-ms", "--heartbeat-ms", "--max-reconnects", "--protocol"];
+
+/// The `(value-taking, boolean)` flags a subcommand accepts, or `None`
+/// for an unknown command (reported by the dispatcher).
+fn accepted_flags(command: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
+    let (values, switches): (&[&[&str]], &[&[&str]]) = match command {
+        "info" | "dot" | "audit" => (&[], &[]),
+        "schedule" => (&[&["--steps"]], &[&["--pipelined"]]),
+        "allocate" => (&[ALLOC_VALUES], &[ALLOC_SWITCHES]),
+        "bench" => (&[ALLOC_VALUES], &[ALLOC_SWITCHES, &["--list"]]),
+        "serve" => (&[SERVE_VALUES], &[]),
+        "submit" => (&[SUBMIT_VALUES], &[SUBMIT_SWITCHES]),
+        "reallocate" => (&[SUBMIT_VALUES, &["--base"]], &[SUBMIT_SWITCHES]),
+        "cluster-alloc" => (&[CLUSTER_ALLOC_VALUES], &[CLUSTER_ALLOC_SWITCHES]),
+        "cluster-worker" => (&[CLUSTER_WORKER_VALUES], &[]),
+        _ => return None,
+    };
+    Some((values.concat(), switches.concat()))
+}
+
+/// Rejects any `--flag` the subcommand does not accept, so a typo or a
+/// removed flag fails loudly instead of silently changing nothing. A
+/// value-taking flag consumes the next argument, whatever it looks like.
+fn check_flags(
+    command: &str,
+    args: &[String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            continue;
+        }
+        if values.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("'{command}' does not accept {arg} (try 'salsa-hls help')"));
+        }
+    }
+    Ok(())
+}
 
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     match args.iter().position(|a| a == flag) {
@@ -439,9 +517,10 @@ fn cluster_config(args: &[String]) -> Result<ClusterConfig, String> {
     Ok(config)
 }
 
-/// The allocation knobs shared by `cluster-alloc` (flags mirror
+/// The allocation knobs of `cluster-alloc` (flags mirror
 /// `allocate`/`submit`; `--threads` is absent because the cluster pins
-/// every chain to one thread — its parallelism is workers).
+/// every chain to one thread — its parallelism is workers — and
+/// `--verify` because certification is the service's verifier lane).
 fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
     Ok(Knobs {
         steps: flag_parse(args, "--steps")?,
@@ -453,7 +532,7 @@ fn knobs_from_args(args: &[String]) -> Result<Knobs, String> {
         pipelined: has_flag(args, "--pipelined"),
         traditional: has_flag(args, "--traditional"),
         mem_moves: !has_flag(args, "--no-mem-moves"),
-        verify: parse_verify(args)?,
+        verify: salsa_hls::audit::VerifyMode::Off,
         warm: None,
     })
 }
@@ -702,16 +781,12 @@ fn audit(args: &[String]) -> Result<(), String> {
 /// The first token after `submit` that is neither a flag nor the value
 /// of a value-taking flag — the `.cdfg` path operand.
 fn submit_positional(args: &[String]) -> Option<&String> {
-    const VALUE_FLAGS: &[&str] = &[
-        "--addr", "--bench", "--steps", "--extra-regs", "--seed", "--restarts", "--threads",
-        "--cutoff", "--timeout-ms", "--retry", "--protocol", "--verify",
-        "--dump-trace", "--base",
-    ];
     let mut i = 1;
     while i < args.len() {
         let arg = &args[i];
         if arg.starts_with("--") {
-            i += if VALUE_FLAGS.contains(&arg.as_str()) { 2 } else { 1 };
+            let takes_value = SUBMIT_VALUES.contains(&arg.as_str()) || arg == "--base";
+            i += if takes_value { 2 } else { 1 };
         } else {
             return Some(arg);
         }

@@ -116,6 +116,31 @@ fn unknown_command_fails() {
 }
 
 #[test]
+fn unknown_flags_are_rejected_by_name() {
+    // A typo, a flag another subcommand owns, and removed flags all fail
+    // before any work runs, naming the offending flag.
+    for args in [
+        &["bench", "pid", "--frobnicate", "3"][..],
+        &["bench", "pid", "--restart", "4"],
+        &["bench", "pid", "--batch", "8"],
+        &["bench", "pid", "--no-plan"],
+        &["submit", "--bench", "pid", "--base", "00"],
+        &["cluster-alloc", "--bench", "pid", "--threads", "2"],
+        &["serve", "--workers", "1", "--pretty"],
+    ] {
+        let out = Command::new(BIN).args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let flag = args.iter().rev().find(|a| a.starts_with("--")).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&format!("does not accept {flag}")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting its flag");
+    }
+    // Accepted flags still run.
+    let out = Command::new(BIN).args(["bench", "pid", "--list"]).output().unwrap();
+    assert!(out.status.success());
+}
+
+#[test]
 fn infeasible_schedule_is_a_clean_error() {
     let path = write_temp(IIR);
     let out = Command::new(BIN)
